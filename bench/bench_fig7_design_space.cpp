@@ -20,6 +20,13 @@ namespace {
 
 using namespace chop;
 
+/// The Table-4 partition-count/package combinations experiment 1 sweeps.
+struct TableFourRun {
+  int nparts;
+  int package;
+};
+const TableFourRun kTableFourRuns[] = {{1, 2}, {2, 2}, {2, 1}, {3, 2}};
+
 void run_figure() {
   bench::print_header(
       "Figure 7: designs considered during experiment 1 (no pruning)",
@@ -30,12 +37,7 @@ void run_figure() {
   double keep_all_ms = 0.0;
   double pruned_ms = 0.0;
 
-  struct Run {
-    int nparts;
-    int package;
-  };
-  const Run runs[] = {{1, 2}, {2, 2}, {2, 1}, {3, 2}};
-  for (const Run& run : runs) {
+  for (const TableFourRun& run : kTableFourRuns) {
     for (core::Heuristic h :
          {core::Heuristic::Enumeration, core::Heuristic::Iterative}) {
       core::ChopSession session = bench::make_experiment_session(
@@ -110,169 +112,129 @@ void BM_keep_all_search(benchmark::State& state) {
 }
 BENCHMARK(BM_keep_all_search)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
+/// One bounded enumeration of a Table-4 configuration's keep-all raw
+/// lists, without the memo cache so every thread count does the same
+/// integration work.
+core::SearchResult bounded_keep_all(const core::ChopSession& session,
+                                    int threads) {
+  core::CandidateEvaluator no_cache(0);
+  core::SearchOptions opt;
+  opt.heuristic = core::Heuristic::Enumeration;
+  opt.prune = false;  // the keep-all raw lists, as in the figure
+  opt.threads = threads;
+  opt.evaluator = &no_cache;
+  return session.search(opt);
+}
+
+bool same_designs(const std::vector<core::GlobalDesign>& a,
+                  const std::vector<core::GlobalDesign>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].choice != b[i].choice) return false;
+  }
+  return true;
+}
+
 /// Thread-scaling sweep of the bounded Figure-7 keep-all space: the same
 /// four Table-4 configurations, branch-and-bound on, run at 1/2/4/8
-/// worker threads with the cross-unit shared frontier off (the
-/// static-dispatch baseline semantics: every unit prunes only against
-/// its own seed probes) and on (units prune against every earlier
-/// wave's incumbents). Checks each run returns the byte-identical
-/// design set, prints the scaling table, and merges a "fig7_threads"
-/// entry into BENCH_search.json.
+/// worker threads. Checks each run returns the design set of the serial
+/// run, prints the scaling table, and merges a "fig7_threads" entry into
+/// BENCH_search.json.
 void run_thread_scaling() {
   bench::print_header(
-      "Thread scaling: bounded keep-all sweep, shared frontier off vs on",
-      "design sets must stay byte-identical at every thread count and mode");
-
-  struct Run {
-    int nparts;
-    int package;
-  };
-  const Run runs[] = {{1, 2}, {2, 2}, {2, 1}, {3, 2}};
+      "Thread scaling: bounded keep-all sweep",
+      "design sets must stay byte-identical at every thread count");
 
   struct Sample {
     int threads;
-    bool shared;
     std::size_t leaves = 0;
-    std::size_t broadcasts = 0;
-    std::size_t snapshot_hits = 0;
     double ms = 0.0;
     bool identical = true;
   };
   std::vector<Sample> samples;
-  // Reference design sets: serial, shared frontier off.
-  std::vector<std::vector<core::GlobalDesign>> reference;
+  std::vector<std::vector<core::GlobalDesign>> reference;  // serial runs
 
   for (const int threads : {1, 2, 4, 8}) {
-    for (const bool shared : {false, true}) {
-      Sample s;
-      s.threads = threads;
-      s.shared = shared;
-      std::size_t run_index = 0;
-      for (const Run& run : runs) {
-        core::ChopSession session = bench::make_experiment_session(
-            bench::Experiment::One, run.nparts,
-            bench::package_by_paper_index(run.package));
-        session.predict_partitions();
-        core::CandidateEvaluator no_cache(0);
-        core::SearchOptions opt;
-        opt.heuristic = core::Heuristic::Enumeration;
-        opt.prune = false;  // the keep-all raw lists, as in the figure
-        opt.threads = threads;
-        opt.shared_frontier = shared;
-        opt.evaluator = &no_cache;
-        Timer timer;
-        const core::SearchResult r = session.search(opt);
-        s.ms += timer.elapsed_ms();
-        s.leaves += r.trials;
-        s.broadcasts += r.frontier_broadcasts;
-        s.snapshot_hits += r.frontier_snapshot_hits;
-        if (reference.size() <= run_index) {
-          reference.push_back(r.designs);
-        } else {
-          const auto& ref = reference[run_index];
-          bool same = ref.size() == r.designs.size();
-          for (std::size_t i = 0; same && i < ref.size(); ++i) {
-            same = ref[i].choice == r.designs[i].choice;
-          }
-          s.identical = s.identical && same;
-        }
-        ++run_index;
+    Sample s;
+    s.threads = threads;
+    std::size_t run_index = 0;
+    for (const TableFourRun& run : kTableFourRuns) {
+      core::ChopSession session = bench::make_experiment_session(
+          bench::Experiment::One, run.nparts,
+          bench::package_by_paper_index(run.package));
+      session.predict_partitions();
+      Timer timer;
+      const core::SearchResult r = bounded_keep_all(session, threads);
+      s.ms += timer.elapsed_ms();
+      s.leaves += r.trials;
+      if (reference.size() <= run_index) {
+        reference.push_back(r.designs);
+      } else {
+        s.identical = s.identical && same_designs(reference[run_index],
+                                                  r.designs);
       }
-      samples.push_back(s);
+      ++run_index;
     }
+    samples.push_back(s);
   }
 
-  TablePrinter table({"Threads", "Shared Frontier", "Leaves Visited",
-                      "Broadcasts", "Snapshot Hits", "Wall (ms)",
-                      "Identical"});
+  TablePrinter table({"Threads", "Leaves Visited", "Wall (ms)", "Identical"});
   for (const Sample& s : samples) {
-    table.row(s.threads, s.shared ? "on" : "off", s.leaves, s.broadcasts,
-              s.snapshot_hits, s.ms, s.identical ? "yes" : "NO — BUG");
+    table.row(s.threads, s.leaves, s.ms, s.identical ? "yes" : "NO — BUG");
   }
   table.print(std::cout);
-
-  const auto find = [&](int threads, bool shared) -> const Sample& {
-    for (const Sample& s : samples) {
-      if (s.threads == threads && s.shared == shared) return s;
-    }
-    return samples.front();
-  };
-  const Sample& base8 = find(8, false);
-  const Sample& on8 = find(8, true);
-  const double speedup8 = on8.ms > 0.0 ? base8.ms / on8.ms : 0.0;
-  std::cout << "8-thread speedup, shared frontier on vs off: " << speedup8
-            << "x (leaves " << base8.leaves << " -> " << on8.leaves << ")\n\n";
+  std::cout << "\n";
 
   std::ostringstream json;
   json << "{\n    \"configs\": [";
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
     json << (i ? "," : "") << "\n      {\"threads\": " << s.threads
-         << ", \"shared_frontier\": " << (s.shared ? "true" : "false")
          << ", \"leaves_visited\": " << s.leaves
-         << ", \"frontier_broadcasts\": " << s.broadcasts
-         << ", \"frontier_snapshot_hits\": " << s.snapshot_hits
          << ", \"wall_ms\": " << s.ms
          << ", \"design_sets_identical\": " << (s.identical ? "true" : "false")
          << "}";
   }
-  json << "\n    ],\n    \"speedup_8t_shared_vs_static\": " << speedup8
-       << ",\n    \"hardware_threads\": "
+  json << "\n    ],\n    \"hardware_threads\": "
        << std::thread::hardware_concurrency() << "\n  }";
   bench::update_bench_search_json("fig7_threads", json.str());
 }
 
-/// CI smoke (--scaling-quick): 4-thread bounded keep-all runs of every
-/// Table-4 configuration with the shared frontier off then on. Exits
-/// nonzero unless every design set is byte-identical and the shared
-/// runs actually broadcast incumbents.
+/// CI smoke (--scaling-quick): bounded keep-all runs of every Table-4
+/// configuration at 1 and 4 threads. Exits nonzero unless the two runs
+/// return byte-identical design sets and visit the same leaves, and
+/// every leaf of the odometer space is either visited or skipped by a
+/// cut subtree (trials + bound_skipped_leaves == product of list sizes).
 int run_scaling_quick() {
-  struct Run {
-    int nparts;
-    int package;
-  };
-  const Run runs[] = {{1, 2}, {2, 2}, {2, 1}, {3, 2}};
-  bool all_identical = true;
-  std::size_t total_broadcasts = 0;
-  for (const Run& run : runs) {
+  bool ok = true;
+  for (const TableFourRun& run : kTableFourRuns) {
     core::ChopSession session = bench::make_experiment_session(
         bench::Experiment::One, run.nparts,
         bench::package_by_paper_index(run.package));
     session.predict_partitions();
-    core::SearchResult results[2];
-    for (int mode = 0; mode < 2; ++mode) {
-      core::CandidateEvaluator no_cache(0);
-      core::SearchOptions opt;
-      opt.heuristic = core::Heuristic::Enumeration;
-      opt.prune = false;
-      opt.threads = 4;
-      opt.shared_frontier = mode == 1;
-      opt.evaluator = &no_cache;
-      results[mode] = session.search(opt);
+    std::size_t space = 1;
+    for (const auto& list : session.predictions().raw) space *= list.size();
+    const core::SearchResult serial = bounded_keep_all(session, 1);
+    const core::SearchResult parallel = bounded_keep_all(session, 4);
+    const bool identical = same_designs(serial.designs, parallel.designs) &&
+                           serial.trials == parallel.trials;
+    bool accounted = true;
+    for (const core::SearchResult* r : {&serial, &parallel}) {
+      accounted = accounted && r->trials + r->bound_skipped_leaves == space;
     }
-    bool identical = results[0].designs.size() == results[1].designs.size();
-    for (std::size_t i = 0; identical && i < results[0].designs.size(); ++i) {
-      identical = results[0].designs[i].choice == results[1].designs[i].choice;
-    }
-    all_identical = all_identical && identical;
-    total_broadcasts += results[1].frontier_broadcasts;
+    ok = ok && identical && accounted;
     std::cout << "scaling-quick nparts=" << run.nparts
               << " package=" << run.package
-              << ": designs off=" << results[0].designs.size()
-              << " on=" << results[1].designs.size()
+              << ": designs=" << serial.designs.size()
+              << " leaves 1t=" << serial.trials << " 4t=" << parallel.trials
+              << " skipped=" << serial.bound_skipped_leaves
+              << " space=" << space
               << " identical=" << (identical ? "yes" : "NO")
-              << " leaves off=" << results[0].trials
-              << " on=" << results[1].trials
-              << " frontier_broadcasts=" << results[1].frontier_broadcasts
-              << " snapshot_hits=" << results[1].frontier_snapshot_hits
-              << "\n";
+              << " accounted=" << (accounted ? "yes" : "NO") << "\n";
   }
-  if (!all_identical) {
-    std::cerr << "FAIL: shared frontier changed a design set\n";
-    return 1;
-  }
-  if (total_broadcasts == 0) {
-    std::cerr << "FAIL: shared frontier never broadcast an incumbent\n";
+  if (!ok) {
+    std::cerr << "FAIL: 4 threads changed a result, or a leaf went "
+                 "unaccounted\n";
     return 1;
   }
   return 0;
@@ -285,12 +247,7 @@ int run_scaling_quick() {
 /// branch-and-bound subtree pruning.
 void run_bound_modes() {
   std::vector<chop::core::ChopSession> sessions;
-  struct Run {
-    int nparts;
-    int package;
-  };
-  const Run runs[] = {{1, 2}, {2, 2}, {2, 1}, {3, 2}};
-  for (const Run& run : runs) {
+  for (const TableFourRun& run : kTableFourRuns) {
     sessions.push_back(bench::make_experiment_session(
         bench::Experiment::One, run.nparts,
         bench::package_by_paper_index(run.package)));

@@ -32,62 +32,12 @@ StatVal component_min(const StatVal& a, const StatVal& b) {
 
 std::atomic<double> g_bound_slack{kBoundSlack};
 
-std::atomic<std::uint64_t> g_commit_shuffle_seed{0};
-
-/// xorshift64* for the test-only commit shuffle.
-std::uint64_t next_rand(std::uint64_t& state) {
-  state ^= state >> 12;
-  state ^= state << 25;
-  state ^= state >> 27;
-  return state * 0x2545F4914F6CDD1DULL;
-}
-
 }  // namespace
 
 double bound_slack() { return g_bound_slack.load(std::memory_order_relaxed); }
 
 void set_bound_slack_for_testing(double slack) {
   g_bound_slack.store(slack, std::memory_order_relaxed);
-}
-
-void SharedFrontier::set_commit_shuffle_for_testing(std::uint64_t seed) {
-  g_commit_shuffle_seed.store(seed, std::memory_order_relaxed);
-}
-
-void SharedFrontier::publish(Cycles ii, Cycles delay) {
-  std::lock_guard<std::mutex> lock(mu_);
-  staged_.push_back({ii, delay});
-}
-
-std::size_t SharedFrontier::commit() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (staged_.empty()) return 0;
-  std::uint64_t shuffle = g_commit_shuffle_seed.load(std::memory_order_relaxed);
-  if (shuffle != 0) {
-    // Adversarial publish-order check: fold in a seeded-shuffled order.
-    // The staircase absorbs a *set* of points, so this must not change
-    // the committed frontier — the determinism tests prove it doesn't.
-    for (std::size_t i = staged_.size(); i > 1; --i) {
-      std::swap(staged_[i - 1], staged_[next_rand(shuffle) % i]);
-    }
-  }
-  std::size_t tightened = 0;
-  for (const auto& p : staged_) {
-    if (committed_.insert(p.first, p.second)) ++tightened;
-  }
-  staged_.clear();
-  if (tightened != 0) epoch_.fetch_add(1, std::memory_order_release);
-  return tightened;
-}
-
-bool SharedFrontier::snapshot(std::uint64_t& seen_epoch,
-                              ParetoFrontier& dest) const {
-  const std::uint64_t now = epoch_.load(std::memory_order_acquire);
-  if (now == seen_epoch) return false;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& p : committed_.points()) dest.insert(p.first, p.second);
-  seen_epoch = epoch_.load(std::memory_order_relaxed);
-  return true;
 }
 
 bool PrefixState::push(int chip, const bad::DesignPrediction& cand) {

@@ -37,11 +37,8 @@
 // search shares one BoundTables across threads freely.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 #include "bad/prediction.hpp"
@@ -60,62 +57,6 @@ inline constexpr double kBoundSlack = 1.0 - 1e-9;
 /// a bound that cuts feasible leaves). Never override in production code.
 double bound_slack();
 void set_bound_slack_for_testing(double slack);
-
-/// Cross-unit incumbent broadcast: a global Pareto staircase every
-/// enumeration unit publishes its feasible finds into and snapshots its
-/// pruning frontier from, so a dominance cut proved by one unit benefits
-/// every unit that starts later.
-///
-/// Determinism contract (the reason for the epoch/commit structure):
-/// publish() only *stages* a point — staged points become visible
-/// exclusively through commit(), which the search driver calls at
-/// deterministic wave barriers (after every unit of a wave has finished,
-/// before any unit of the next wave starts). A unit therefore always
-/// snapshots exactly the staircase committed by the waves before its
-/// own, regardless of thread count, steal order, or publish order —
-/// and because merging a *set* of points into a Pareto staircase is
-/// order-independent, the committed staircase itself is identical under
-/// any adversarial publish interleaving within a wave.
-///
-/// Soundness: every published point is a fully evaluated feasible design
-/// that the in-order merge will consume, and BoundTables::prune() cuts
-/// only subtrees *strictly* dominated by the frontier it is given — such
-/// subtrees can never contribute a non-inferior design. Tightening the
-/// frontier with other units' finds therefore never changes the merged
-/// design set; it only shrinks `trials`.
-class SharedFrontier {
- public:
-  /// Stages one feasible (ii, delay) find. Thread-safe; invisible to
-  /// snapshot() until the next commit().
-  void publish(Cycles ii, Cycles delay);
-
-  /// Folds all staged finds into the committed staircase and bumps the
-  /// epoch when anything tightened. Must only be called from the search
-  /// driver at a wave barrier. Returns the number of staged points that
-  /// tightened the staircase.
-  std::size_t commit();
-
-  /// Current committed epoch: 0 until a commit tightens something.
-  std::uint64_t epoch() const {
-    return epoch_.load(std::memory_order_acquire);
-  }
-
-  /// Folds the committed staircase into `dest` when `seen_epoch` is
-  /// stale, updating `seen_epoch`; returns true when points were pulled.
-  /// The cheap path (epoch unchanged) is one atomic load.
-  bool snapshot(std::uint64_t& seen_epoch, ParetoFrontier& dest) const;
-
-  /// Test-only publish-order adversary: a nonzero seed makes commit()
-  /// fold staged points in a seeded-shuffled order, proving the
-  /// committed staircase is independent of publish interleaving.
-  static void set_commit_shuffle_for_testing(std::uint64_t seed);
-
- private:
-  mutable std::mutex mu_;
-  ParetoFrontier committed_;
-  std::vector<std::pair<Cycles, Cycles>> staged_;
-  std::atomic<std::uint64_t> epoch_{0};
-};
 
 /// Incremental state of one enumeration prefix: exact aggregates of the
 /// committed candidates, maintained push/pop in O(1) per step (each push

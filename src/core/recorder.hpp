@@ -24,9 +24,7 @@ class ParetoFrontier {
  public:
   /// Adds a feasible design's (ii, delay); dominated entries (either
   /// direction) are folded away. Weakly dominated inserts are no-ops.
-  /// Returns true when the staircase tightened (the point was admitted) —
-  /// the signal the shared-incumbent broadcast uses to decide whether a
-  /// find is worth publishing.
+  /// Returns true when the staircase tightened (the point was admitted).
   bool insert(Cycles ii, Cycles delay);
 
   /// Strict-dominance query for bound pruning: true when some inserted

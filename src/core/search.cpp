@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cstdlib>
 #include <future>
 #include <limits>
 #include <memory>
@@ -223,13 +221,10 @@ const std::vector<std::vector<bad::DesignPrediction>>& search_lists(
 // observable output) are identical at any SearchOptions::threads. Units
 // evaluate concurrently on a work-stealing pool and merge strictly in
 // unit order. Each unit's frontier starts from deterministic seed probes
-// (greedy per-partition picks, evaluated up front) and grows with the
-// unit's own feasible finds; with SearchOptions::shared_frontier it also
-// pulls every *committed* cross-unit find. Commits happen only at wave
-// barriers — units are grouped into deterministic waves, and a wave's
-// feasible finds become visible exactly when the next wave starts — so
-// pruning decisions depend on the wave structure, never on timing, and
-// every output stays byte-identical across thread counts and schedules.
+// (greedy per-partition picks, evaluated up front) and grows only with
+// the unit's own feasible finds, so its pruning decisions never depend on
+// timing and every output stays byte-identical across thread counts and
+// schedules.
 // ---------------------------------------------------------------------------
 
 /// One buffered enumeration trial, produced by a worker and consumed by
@@ -300,29 +295,6 @@ struct UnitPlan {
   std::size_t leaves_per_unit = 1;  ///< Saturated product of inner lens.
 };
 
-/// Wave sizes for the shared-frontier schedule: units are grouped into
-/// consecutive index ranges, and every unit of wave k finishes (and
-/// publishes) before any unit of wave k+1 starts. A short geometric ramp
-/// commits the first incumbents after only a few units, then wide waves
-/// keep the pool saturated between barriers. Without sharing there are
-/// no barriers to honor, so a single wave covers everything.
-std::vector<std::size_t> plan_waves(std::size_t unit_count, bool share) {
-  std::vector<std::size_t> sizes;
-  if (!share || unit_count == 0) {
-    sizes.push_back(unit_count);
-    return sizes;
-  }
-  std::size_t placed = 0;
-  std::size_t next = 4;
-  while (placed < unit_count) {
-    const std::size_t size = std::min(next, unit_count - placed);
-    sizes.push_back(size);
-    placed += size;
-    if (next < 32) next *= 2;
-  }
-  return sizes;
-}
-
 UnitPlan plan_units(const OdometerSpace& space) {
   UnitPlan plan;
   const std::size_t nparts = space.len.size();
@@ -385,11 +357,7 @@ struct UnitOutcome {
   std::vector<TrialRecord> records;
   std::size_t pruned_subtrees = 0;
   std::size_t skipped_leaves = 0;  ///< Saturating.
-  /// Shared-incumbent traffic: feasible finds this unit published, and
-  /// whether its unit-start snapshot pulled a tightened staircase.
-  std::size_t frontier_broadcasts = 0;
-  std::size_t frontier_snapshot_hits = 0;
-  bool capped = false;  ///< Stopped at the per-unit record budget.
+  bool capped = false;  ///< Stopped at the max_trials record budget.
   /// The walk observed a raised cancel flag / expired deadline mid-unit.
   /// Collected records are complete evaluations and stay mergeable.
   bool cancelled = false;
@@ -448,15 +416,13 @@ class BoundedWalker {
                 const std::vector<std::vector<bad::DesignPrediction>>& lists,
                 const UnitPlan& plan, const BoundTables& tables,
                 const ParetoFrontier& seed, std::size_t record_cap,
-                SharedFrontier* shared, const std::atomic<bool>* stop,
-                const CancelState& cancel, CandidateEvaluator& evaluator,
-                obs::PhaseProfile* profile)
+                const std::atomic<bool>* stop, const CancelState& cancel,
+                CandidateEvaluator& evaluator, obs::PhaseProfile* profile)
       : ctx_(ctx),
         lists_(lists),
         plan_(plan),
         tables_(tables),
         record_cap_(record_cap),
-        shared_(shared),
         stop_(stop),
         cancel_(cancel),
         evaluator_(evaluator),
@@ -467,14 +433,6 @@ class BoundedWalker {
         selection_(lists.size(), nullptr) {}
 
   UnitOutcome run(std::size_t u) {
-    if (shared_ != nullptr) {
-      // One snapshot per unit suffices: the shared frontier commits only
-      // at wave barriers, and every unit of a wave completes before the
-      // next commit — the staircase cannot tighten mid-unit.
-      obs::ScopedPhase sync(profile_, obs::SearchPhase::kFrontierSync);
-      std::uint64_t seen = 0;
-      if (shared_->snapshot(seen, frontier_)) ++out_.frontier_snapshot_hits;
-    }
     decode_unit(lists_, plan_, u, digits_, selection_);
     const std::size_t nparts = lists_.size();
     for (std::size_t p = nparts; p-- > plan_.inner_count;) {
@@ -526,10 +484,9 @@ class BoundedWalker {
       return;
     }
     if (record_cap_ > 0 && out_.records.size() >= record_cap_) {
-      // The in-order merge can consume at most record_cap_ records from
-      // this unit (the global cap minus everything earlier waves already
-      // collected), so stop *before* evaluating this leaf instead of
-      // over-collecting records the merge would only truncate.
+      // The in-order merge consumes at most max_trials records in total,
+      // so no unit can contribute more: stop *before* evaluating this leaf
+      // instead of over-collecting records the merge would only truncate.
       out_.capped = true;
       stopped_ = true;
       return;
@@ -543,16 +500,7 @@ class BoundedWalker {
     }
     TrialRecord record =
         evaluate_leaf(ctx_, selection_, digits_, evaluator_, profile_);
-    if (record.feasible) {
-      // Publish only staircase-tightening finds: a point the unit's own
-      // frontier already dominates cannot tighten the shared one either.
-      const bool tightened =
-          frontier_.insert(record.ii_main, record.delay_main);
-      if (tightened && shared_ != nullptr) {
-        shared_->publish(record.ii_main, record.delay_main);
-        ++out_.frontier_broadcasts;
-      }
-    }
+    if (record.feasible) frontier_.insert(record.ii_main, record.delay_main);
     out_.records.push_back(std::move(record));
   }
 
@@ -561,7 +509,6 @@ class BoundedWalker {
   const UnitPlan& plan_;
   const BoundTables& tables_;
   const std::size_t record_cap_;
-  SharedFrontier* shared_;
   const std::atomic<bool>* stop_;
   const CancelState& cancel_;
   CandidateEvaluator& evaluator_;
@@ -573,33 +520,6 @@ class BoundedWalker {
   UnitOutcome out_;
   bool stopped_ = false;
 };
-
-/// True unless CHOP_BOUND_PRUNING is set to 0/false/off — the run-time
-/// escape hatch that disables branch-and-bound without a rebuild.
-/// Re-read on every search (one getenv per search, never per trial) so
-/// tests can toggle the variable within one process.
-bool bound_pruning_env_enabled() {
-  const char* env = std::getenv("CHOP_BOUND_PRUNING");
-  if (env == nullptr) return true;
-  std::string v(env);
-  for (char& c : v) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return !(v == "0" || v == "false" || v == "off");
-}
-
-/// True unless CHOP_SHARED_FRONTIER is set to 0/false/off — the run-time
-/// ablation switch for the cross-unit incumbent broadcast. Same contract
-/// and re-read cadence as CHOP_BOUND_PRUNING.
-bool shared_frontier_env_enabled() {
-  const char* env = std::getenv("CHOP_SHARED_FRONTIER");
-  if (env == nullptr) return true;
-  std::string v(env);
-  for (char& c : v) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return !(v == "0" || v == "false" || v == "off");
-}
 
 /// Greedy seed probes: per-partition argmin by (ii, latency) and by
 /// (latency, ii). Real integrations (counted as probe_integrations, not
@@ -689,10 +609,6 @@ SearchResult search_enumeration(const EvalContext& ctx,
       obs::MetricsRegistry::global().counter("search.bound_skipped_leaves");
   static obs::Counter& probe_counter =
       obs::MetricsRegistry::global().counter("search.probe_integrations");
-  static obs::Counter& broadcast_counter =
-      obs::MetricsRegistry::global().counter("search.frontier_broadcasts");
-  static obs::Counter& snapshot_counter =
-      obs::MetricsRegistry::global().counter("search.frontier_snapshot_hits");
 
   const OdometerSpace space = odometer_space(lists);
   std::size_t limit = space.total;
@@ -700,7 +616,7 @@ SearchResult search_enumeration(const EvalContext& ctx,
     limit = options.max_trials;
   }
 
-  const bool bounded = options.bound_pruning && bound_pruning_env_enabled();
+  const bool bounded = options.bound_pruning;
   const UnitPlan plan = plan_units(space);
 
   obs::PhaseProfile* profile = options.profile;
@@ -731,51 +647,12 @@ SearchResult search_enumeration(const EvalContext& ctx,
   TrialReporter reporter(options.observer);
   std::atomic<bool> stop{false};
 
-  // Cross-unit incumbent broadcast (see SharedFrontier): bounded walks
-  // only — the unbounded walk keeps no frontier — and pointless for a
-  // single unit.
-  const bool share = bounded && options.shared_frontier &&
-                     shared_frontier_env_enabled() && plan.unit_count > 1;
-  SharedFrontier shared;
-
-  // Deterministic wave schedule: with sharing, a wave's finds commit at
-  // its barrier and the next wave prunes against them; without sharing
-  // one wave covers everything (no barriers to honor).
-  const std::vector<std::size_t> waves = plan_waves(plan.unit_count, share);
-  std::vector<std::size_t> wave_first(waves.size());
-  for (std::size_t k = 0, first = 0; k < waves.size(); ++k) {
-    wave_first[k] = first;
-    first += waves[k];
-  }
-
-  // Per-unit record budget for a wave starting after `records_before`
-  // records were collected by earlier waves: the in-order merge consumes
-  // at most max_trials records total and folds every earlier wave's
-  // records in first, so one unit can never contribute more than the
-  // difference — collecting past it would be over-collection the merge
-  // only truncates. Computed from completed waves only, so budgets are
-  // identical at any thread count and schedule.
-  constexpr std::size_t kUnlimited = std::numeric_limits<std::size_t>::max();
-  const auto budget_for = [&](std::size_t records_before) -> std::size_t {
-    if (!bounded || options.max_trials == 0) return kUnlimited;
-    return options.max_trials > records_before
-               ? options.max_trials - records_before
-               : 0;
-  };
-
-  const auto run_unit = [&](std::size_t u, std::size_t budget) -> UnitOutcome {
-    if (budget == 0) {
-      // Earlier waves already filled the cap: the merge is guaranteed to
-      // stop before reaching this unit, so there is nothing to collect.
-      UnitOutcome out;
-      out.capped = true;
-      return out;
-    }
+  // Every bounded unit may collect up to max_trials records: the in-order
+  // merge never consumes more than that from any single unit.
+  const auto run_unit = [&](std::size_t u) -> UnitOutcome {
     if (bounded) {
-      return BoundedWalker(ctx, lists, plan, *tables, seed,
-                           budget == kUnlimited ? 0 : budget,
-                           share ? &shared : nullptr, &stop, cancel, evaluator,
-                           profile)
+      return BoundedWalker(ctx, lists, plan, *tables, seed, options.max_trials,
+                           &stop, cancel, evaluator, profile)
           .run(u);
     }
     return run_unit_unbounded(ctx, lists, plan, u, limit, cancel, evaluator,
@@ -791,13 +668,13 @@ SearchResult search_enumeration(const EvalContext& ctx,
   bool more_after_cap = false;
   bool cancel_hit = false;
   const std::size_t unit_count = plan.unit_count;
-  const auto consume = [&](std::size_t u, UnitOutcome&& unit) {
+  // Takes the outcome by value so a merged unit's records are freed here,
+  // not when the search returns.
+  const auto consume = [&](std::size_t u, UnitOutcome unit) {
     obs::ScopedPhase phase(profile, obs::SearchPhase::kMerge);
     out.pruned_subtrees = sat_add(out.pruned_subtrees, unit.pruned_subtrees);
     out.bound_skipped_leaves =
         sat_add(out.bound_skipped_leaves, unit.skipped_leaves);
-    out.frontier_broadcasts += unit.frontier_broadcasts;
-    out.frontier_snapshot_hits += unit.frontier_snapshot_hits;
     for (std::size_t i = 0; i < unit.records.size(); ++i) {
       merge_trial(out, std::move(unit.records[i]), reporter, options,
                   feasible);
@@ -816,24 +693,13 @@ SearchResult search_enumeration(const EvalContext& ctx,
   };
 
   if (options.threads <= 1 || unit_count <= 1) {
-    std::size_t records_before = 0;
-    for (std::size_t k = 0; k < waves.size() && !reached_cap && !cancel_hit;
-         ++k) {
-      const std::size_t budget = budget_for(records_before);
-      for (std::size_t u = wave_first[k]; u < wave_first[k] + waves[k]; ++u) {
-        if (reached_cap || cancel_hit) break;
-        if (cancel.armed() && cancel.triggered()) {
-          cancel_hit = true;
-          break;
-        }
-        UnitOutcome outcome = run_unit(u, budget);
-        records_before += outcome.records.size();
-        consume(u, std::move(outcome));
+    for (std::size_t u = 0; u < unit_count && !reached_cap && !cancel_hit;
+         ++u) {
+      if (cancel.armed() && cancel.triggered()) {
+        cancel_hit = true;
+        break;
       }
-      if (share && !reached_cap && !cancel_hit) {
-        obs::ScopedPhase sync(profile, obs::SearchPhase::kFrontierSync);
-        shared.commit();
-      }
+      consume(u, run_unit(u));
     }
   } else {
     obs::TraceSpan span("search.parallel");
@@ -852,89 +718,55 @@ SearchResult search_enumeration(const EvalContext& ctx,
     // so unit spans join the job's trace tree instead of floating free.
     const obs::TraceContext unit_ctx = span.context();
     std::vector<UnitOutcome> outcomes(unit_count);
-    std::vector<std::vector<std::future<void>>> inflight(waves.size());
+    std::vector<std::future<void>> inflight;
 
     // On any exit — including an exception thrown out of a unit — stop
     // stragglers and drain every scheduled future, so no task outlives
     // `outcomes` (essential when running on serve's shared pool).
     struct Drain {
       std::atomic<bool>& stop;
-      std::vector<std::vector<std::future<void>>>& inflight;
+      std::vector<std::future<void>>& inflight;
       ~Drain() {
         stop.store(true, std::memory_order_relaxed);
-        for (auto& wave : inflight) {
-          for (auto& f : wave) {
-            if (f.valid()) f.wait();
-          }
+        for (auto& f : inflight) {
+          if (f.valid()) f.wait();
         }
       }
     } drain{stop, inflight};
 
-    const auto schedule_wave = [&](std::size_t k, std::size_t budget) {
-      std::vector<std::function<void()>> jobs;
-      jobs.reserve(waves[k]);
-      for (std::size_t u = wave_first[k]; u < wave_first[k] + waves[k]; ++u) {
-        jobs.push_back([&, u, k, budget] {
-          if (stop.load(std::memory_order_relaxed)) return;
-          obs::TraceContextScope ctx_scope(unit_ctx);
-          obs::TraceSpan unit_span("search.parallel.unit");
-          unit_span.arg("unit", u);
-          unit_span.arg("wave", k);
-          outcomes[u] = run_unit(u, budget);
-        });
-      }
-      inflight[k] = pool->submit_batch(std::move(jobs));
-    };
+    std::vector<std::function<void()>> jobs;
+    jobs.reserve(unit_count);
+    for (std::size_t u = 0; u < unit_count; ++u) {
+      jobs.push_back([&, u] {
+        if (stop.load(std::memory_order_relaxed)) return;
+        obs::TraceContextScope ctx_scope(unit_ctx);
+        obs::TraceSpan unit_span("search.parallel.unit");
+        unit_span.arg("unit", u);
+        outcomes[u] = run_unit(u);
+      });
+    }
+    inflight = pool->submit_batch(std::move(jobs));
 
-    // Joining a wave helps run queued tasks instead of idling at the
-    // barrier — on a shared pool that may be other jobs' units.
-    const auto join_wave = [&](std::size_t k) {
-      for (auto& f : inflight[k]) {
-        while (f.wait_for(std::chrono::seconds(0)) !=
-               std::future_status::ready) {
-          if (!pool->try_run_one()) f.wait();
-        }
-        f.get();  // rethrows a unit's exception
+    // Consume unit u as soon as it is ready. Waiting helps run queued
+    // tasks instead of idling — on a shared pool that may be other jobs'
+    // units.
+    for (std::size_t u = 0; u < unit_count && !reached_cap && !cancel_hit;
+         ++u) {
+      std::future<void>& f = inflight[u];
+      while (f.wait_for(std::chrono::seconds(0)) !=
+             std::future_status::ready) {
+        if (!pool->try_run_one()) f.wait();
       }
-    };
-
-    std::size_t records_before = 0;
-    schedule_wave(0, budget_for(0));
-    for (std::size_t k = 0; k < waves.size(); ++k) {
-      join_wave(k);
-      // Wave barrier: every unit of wave k is complete. Commit its finds
-      // and schedule wave k+1 *before* merging wave k, so the next wave
-      // executes while this thread merges — the barrier never idles the
-      // pool. Budgets use pre-truncation record counts (deterministic);
-      // if the merge below stops at the cap or a cancellation, wave k+1's
-      // outcomes are simply never consumed.
-      for (std::size_t u = wave_first[k]; u < wave_first[k] + waves[k]; ++u) {
-        records_before += outcomes[u].records.size();
-      }
-      if (share) {
-        obs::ScopedPhase sync(profile, obs::SearchPhase::kFrontierSync);
-        shared.commit();
-      }
-      if (k + 1 < waves.size()) {
-        schedule_wave(k + 1, budget_for(records_before));
-      }
-      for (std::size_t u = wave_first[k];
-           u < wave_first[k] + waves[k] && !reached_cap && !cancel_hit; ++u) {
-        consume(u, std::move(outcomes[u]));
-      }
-      if (reached_cap || cancel_hit) break;  // Drain stops wave k+1
+      f.get();  // rethrows a unit's exception
+      consume(u, std::move(outcomes[u]));
     }
     span.arg("threads", options.threads);
     span.arg("units", unit_count);
-    span.arg("waves", waves.size());
-    span.arg("shared_frontier", share);
     span.arg("trials", out.trials);
   }
 
   pruned_counter.add(out.pruned_subtrees);
   skipped_counter.add(out.bound_skipped_leaves);
-  broadcast_counter.add(out.frontier_broadcasts);
-  snapshot_counter.add(out.frontier_snapshot_hits);
 
   // Unbounded truncation is exact (the walk stops at a known global
   // index); bounded truncation is deterministically pessimistic — the

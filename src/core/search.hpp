@@ -20,13 +20,12 @@
 // already violate a hard constraint or are dominated by the incumbent
 // Pareto front, while provably returning the identical design set as the
 // exhaustive walk. The work is split on top-level digit prefixes into a
-// fixed number of units; units are scheduled in deterministic waves on a
-// work-stealing pool (SearchOptions::threads workers, or an external
-// shared pool), publish feasible finds into a SharedFrontier committed
-// at wave barriers so later units prune against every earlier unit's
-// incumbents, and merge in prefix order — the SearchResult (trials,
-// feasible_raw, designs, recorder contents, observer callback sequence)
-// is identical across thread counts and scheduling orders.
+// fixed number of units; every unit prunes against the same deterministic
+// seed probes plus its own finds, runs as one batch on a work-stealing
+// pool (SearchOptions::threads workers, or an external shared pool), and
+// merges in prefix order as soon as it is ready — the SearchResult
+// (trials, feasible_raw, designs, recorder contents, observer callback
+// sequence) is identical across thread counts and scheduling orders.
 #pragma once
 
 #include <atomic>
@@ -83,17 +82,6 @@ struct SearchOptions {
   /// monopolizing workers. Null (the default): the search spins up a
   /// private pool when threads > 1. Ignored when threads <= 1.
   ThreadPool* pool = nullptr;
-  /// Cross-unit incumbent broadcast for the bounded enumeration: units
-  /// publish feasible finds into a SharedFrontier committed at
-  /// deterministic wave barriers, so every later unit prunes against all
-  /// earlier units' incumbents instead of only the seed probes. The
-  /// design set is provably unchanged (strict-dominance cuts never
-  /// remove a non-inferior design) and `trials` can only shrink; all
-  /// outputs stay identical across thread counts and schedules. Also
-  /// switchable off at run time via CHOP_SHARED_FRONTIER=0 (the env wins
-  /// over a `true` here only when set to a disabling value). Meaningless
-  /// — and ignored — when bound_pruning is off.
-  bool shared_frontier = true;
   /// Shared memo cache (not owned; may outlive many searches). When null,
   /// the search uses a private cache that lives for this call only —
   /// ChopSession::search() substitutes its session-lifetime evaluator.
@@ -115,10 +103,8 @@ struct SearchOptions {
   /// Admissible lower bounds cut subtrees that provably cannot contribute
   /// to `designs`, so the returned design set is byte-identical with the
   /// flag on or off; `trials` (visited leaves), and therefore the observer
-  /// sequence and recorder contents, shrink when subtrees are cut. Also
-  /// switchable off at run time via CHOP_BOUND_PRUNING=0 (env wins over a
-  /// `true` here only when set to a disabling value). The iterative
-  /// heuristic ignores this.
+  /// sequence and recorder contents, shrink when subtrees are cut. The
+  /// iterative heuristic ignores this.
   bool bound_pruning = true;
   /// Session-owned memo for bound-table construction across §2.7
   /// revisions (see BoundTablesCache in core/eval/bound_state.hpp). Not
@@ -170,14 +156,6 @@ struct SearchResult {
   /// `search.bound_skipped_leaves` metrics.
   std::size_t pruned_subtrees = 0;
   std::size_t bound_skipped_leaves = 0;
-  /// Shared-incumbent traffic (SearchOptions::shared_frontier): feasible
-  /// finds units broadcast into the shared frontier, and unit-start
-  /// snapshots that actually pulled a tightened staircase. Counted from
-  /// merged units only, so both are deterministic at any thread count.
-  /// Also exported as the `search.frontier_broadcasts` and
-  /// `search.frontier_snapshot_hits` metrics.
-  std::size_t frontier_broadcasts = 0;
-  std::size_t frontier_snapshot_hits = 0;
   bool truncated = false;             ///< Hit SearchOptions::max_trials.
   /// Stopped early by SearchOptions::cancel or an expired deadline. The
   /// result is a valid partial answer: every reported design was fully

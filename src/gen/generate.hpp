@@ -16,9 +16,9 @@
 //  3. Starts run on the shared work-stealing ThreadPool and share one
 //     memoizing CandidateEvaluator, so identical candidate integrations
 //     across starts are cache hits. Start results commit in deterministic
-//     waves (like the enumeration's SharedFrontier): a start only ever
-//     sees the cross-start incumbent committed before its wave began, so
-//     early-killing dominated starts cannot depend on thread scheduling.
+//     waves: a start only ever sees the cross-start incumbent committed
+//     before its wave began, so early-killing dominated starts cannot
+//     depend on thread scheduling.
 //  4. Every feasible design of every evaluated cut folds into one
 //     cross-partitioning Pareto frontier over (area, II, delay).
 //

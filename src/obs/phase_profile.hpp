@@ -30,9 +30,9 @@ enum class SearchPhase : std::size_t {
   kLeafEval,         ///< Candidate evaluations at enumeration leaves.
   kVerdict,          ///< Constraint-verdict re-runs on a memoized core.
   kMerge,            ///< In-order merging of per-unit results.
-  kFrontierSync,     ///< Shared-incumbent snapshots and wave commits.
+  kFrontierSync,     ///< Always 0; kept so benchmark reports keep the key.
   kCacheWait,        ///< Blocked acquiring an evaluator cache shard lock.
-  kPredict,          ///< Per-partition BAD prediction (session research).
+  kPredict,          ///< Per-partition BAD prediction (research, served jobs).
   kRender,           ///< Serve-side result JSON rendering.
   kGenCoarsen,       ///< Partition generation: heavy-edge coarsening.
   kGenInitial,       ///< Partition generation: coarsest-level seed cuts.

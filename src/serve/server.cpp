@@ -192,7 +192,12 @@ void ChopServer::run_job(const std::shared_ptr<Job>& job) {
       return;
     }
     core::ChopSession session = job->project.make_session();
-    const core::PredictionStats stats = session.predict_partitions();
+    core::PredictionStats stats;
+    {
+      obs::ScopedPhase predict_phase(&job->profile,
+                                     obs::SearchPhase::kPredict);
+      stats = session.predict_partitions();
+    }
 
     core::SearchOptions search;
     search.heuristic = job->options.heuristic;

@@ -338,50 +338,6 @@ ScenarioReport run_oracles(const io::Project& project,
       }
     }
 
-    // --- Oracle: shared frontier on ≡ off ------------------------------
-    // The cross-unit incumbent broadcast may only cut strictly dominated
-    // subtrees, so (uncapped) the design set must be byte-identical with
-    // it on or off, visited leaves may only shrink, and both runs must
-    // still account for every leaf in the odometer space. Runs at 4
-    // threads so the wave pipeline and work-stealing pool are exercised.
-    {
-      core::CandidateEvaluator evaluator(
-          core::CandidateEvaluator::kDefaultMaxEntries);
-      SearchOptions opt;
-      opt.heuristic = core::Heuristic::Enumeration;
-      opt.threads = 4;
-      opt.evaluator = &evaluator;
-      opt.shared_frontier = false;
-      const SearchResult frontier_off = session.search(opt);
-      opt.shared_frontier = true;
-      const SearchResult frontier_on = session.search(opt);
-      if (auto d = diff_designs(frontier_on, frontier_off)) {
-        report.failures.push_back({"shared_frontier", *d});
-      }
-      if (frontier_on.trials > frontier_off.trials) {
-        report.failures.push_back(
-            {"shared_frontier",
-             "sharing grew trials: " + std::to_string(frontier_on.trials) +
-                 " > " + std::to_string(frontier_off.trials)});
-      }
-      for (const SearchResult* r : {&frontier_on, &frontier_off}) {
-        if (r->trials + r->bound_skipped_leaves != report.eligible_product) {
-          report.failures.push_back(
-              {"shared_frontier",
-               std::string(r == &frontier_on ? "on" : "off") + ": trials " +
-                   std::to_string(r->trials) + " + skipped " +
-                   std::to_string(r->bound_skipped_leaves) +
-                   " != eligible product " +
-                   std::to_string(report.eligible_product)});
-        }
-      }
-      if (frontier_off.frontier_broadcasts != 0 ||
-          frontier_off.frontier_snapshot_hits != 0) {
-        report.failures.push_back(
-            {"shared_frontier", "off run reported frontier traffic"});
-      }
-    }
-
     // --- Oracle: thread determinism ------------------------------------
     CaptureObserver serial_obs;
     const SearchResult serial =

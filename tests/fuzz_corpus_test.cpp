@@ -82,8 +82,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "shrunk_17510280810347979414.chop",
                       "shrunk_6945414144905019519.chop",
                       // Promoted from injected-slack runs; together they
-                      // cover all four incremental-delta kinds and keep
-                      // the shared-frontier broadcast path hot.
+                      // cover all four incremental-delta kinds.
                       "shrunk_10640280093745372453.chop",
                       "shrunk_13980639709301214031.chop",
                       "shrunk_17591122925923343966.chop",

@@ -2,9 +2,9 @@
 // must produce a SearchResult — designs, trial counts, recorder contents,
 // observer callback sequence — byte-identical to the serial run, on the
 // Figure-7 (AR filter, keep-all) workload. The AdversarialScheduler suite
-// additionally perturbs the work-stealing pool's steal order and the
-// SharedFrontier's commit fold order through the testing hooks and
-// demands the same byte-identity across 16 hostile schedules.
+// additionally perturbs the work-stealing pool's steal order through its
+// testing hook and demands the same byte-identity across 16 hostile
+// schedules.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "chip/mosis_packages.hpp"
-#include "core/eval/bound_state.hpp"
 #include "core/eval/candidate_evaluator.hpp"
 #include "core/eval/eval_context.hpp"
 #include "core/eval/thread_pool.hpp"
@@ -138,6 +137,7 @@ TEST(ParallelSearch, PrunedIdenticalAcrossThreadCounts) {
     expect_identical(serial, run_at(session, threads, /*prune=*/true),
                      threads);
   }
+
 }
 
 TEST(ParallelSearch, TruncationIdenticalAcrossThreadCounts) {
@@ -150,6 +150,55 @@ TEST(ParallelSearch, TruncationIdenticalAcrossThreadCounts) {
   for (int threads : {2, 4, 8}) {
     expect_identical(serial, run_at(session, threads, /*prune=*/false, cap),
                      threads);
+  }
+}
+
+/// A space degenerated to one candidate per partition plans exactly one
+/// work unit, which takes the serial path whatever the thread count: the
+/// parallel runs must match the serial run byte for byte. (The suite name
+/// predates the removal of the cross-unit shared frontier.)
+TEST(SharedFrontierSearch, SingleUnitSpaceIsInvariantUnderSharing) {
+  ChopSession session = fig7_session(2);
+  session.predict_partitions();
+  PartitionPredictions pred;
+  for (const auto& list : session.predictions().eligible) {
+    ASSERT_FALSE(list.empty());
+    pred.eligible.push_back({list.front()});
+    pred.raw.push_back({list.front()});
+  }
+  const EvalContext ctx = session.make_eval_context();
+
+  SearchOptions opt;
+  opt.heuristic = Heuristic::Enumeration;
+  opt.record_all = true;
+  const SearchResult serial = find_feasible_implementations(ctx, pred, opt);
+  EXPECT_EQ(serial.trials, 1u);
+
+  for (const int threads : {2, 4}) {
+    SearchOptions popt = opt;
+    popt.threads = threads;
+    expect_identical(serial, find_feasible_implementations(ctx, pred, popt),
+                     threads);
+  }
+}
+
+/// Bounded units that hit the record cap stop before evaluating their
+/// next leaf while other units keep running. The race must not leak into
+/// the merged result: capped parallel runs on the eligible lists are
+/// byte-identical to the capped serial run at any thread count, twice.
+TEST(SharedFrontierSearch, PublicationRacingRecordCapStaysDeterministic) {
+  ChopSession session = fig7_session(2);
+  session.predict_partitions();
+  const std::size_t cap = 40;  // Well under the Fig-7 two-way space.
+  const SearchResult serial = run_at(session, 1, /*prune=*/true, cap);
+  EXPECT_TRUE(serial.truncated);
+  EXPECT_EQ(serial.trials, cap);
+
+  for (const int threads : {2, 4, 8}) {
+    const SearchResult first = run_at(session, threads, /*prune=*/true, cap);
+    const SearchResult second = run_at(session, threads, /*prune=*/true, cap);
+    expect_identical(serial, first, threads);
+    expect_identical(first, second, threads);
   }
 }
 
@@ -320,19 +369,13 @@ void expect_same_observer_stream(const CaptureObserver& a,
 
 /// Forces adversarial scheduling for the lifetime of the guard: the pool
 /// constructed inside the search shuffles its task-source preference and
-/// steal victims from `seed`, and every SharedFrontier::commit folds its
-/// staged publishes in a seeded shuffle order instead of arrival order.
-/// Both hooks reset to the deterministic default on destruction.
+/// steal victims from `seed`. The hook resets to the deterministic default
+/// on destruction.
 struct ScheduleChaos {
   explicit ScheduleChaos(std::uint64_t seed) {
     ThreadPool::set_scheduler_chaos_for_testing(seed);
-    SharedFrontier::set_commit_shuffle_for_testing(
-        seed * 0x9e3779b97f4a7c15ull + 0x2545f4914f6cdd1dull);
   }
-  ~ScheduleChaos() {
-    ThreadPool::set_scheduler_chaos_for_testing(0);
-    SharedFrontier::set_commit_shuffle_for_testing(0);
-  }
+  ~ScheduleChaos() { ThreadPool::set_scheduler_chaos_for_testing(0); }
 };
 
 /// Bounded (default) pruned search through the session's shared evaluator,
@@ -370,17 +413,14 @@ TEST(AdversarialScheduler, ByteIdenticalAcrossSixteenHostileSchedules) {
       EXPECT_EQ(got.trials + got.bound_skipped_leaves, space);
       EXPECT_EQ(base.pruned_subtrees, got.pruned_subtrees);
       EXPECT_EQ(base.bound_skipped_leaves, got.bound_skipped_leaves);
-      EXPECT_EQ(base.frontier_broadcasts, got.frontier_broadcasts);
-      EXPECT_EQ(base.frontier_snapshot_hits, got.frontier_snapshot_hits);
       expect_same_observer_stream(base_obs, obs);
     }
   }
 }
 
 TEST(AdversarialScheduler, CappedRunsDeterministicUnderChaos) {
-  // max_trials interacts with the wave pipeline (later waves are scheduled
-  // with budgets derived from completed waves only) — the truncation point
-  // must not move with the schedule.
+  // Units stop at the max_trials record budget while the merge raises the
+  // stop flag — the truncation point must not move with the schedule.
   ChopSession session = fig7_session(2);
   session.predict_partitions();
   const std::size_t cap = 37;  // not on any unit or wave boundary
@@ -396,39 +436,6 @@ TEST(AdversarialScheduler, CappedRunsDeterministicUnderChaos) {
                        threads);
     }
   }
-}
-
-TEST(SharedFrontierSearch, OnOffDesignSetsIdenticalUncapped) {
-  // The cross-unit incumbent broadcast may only ever cut strictly
-  // dominated subtrees: switching it off must reproduce the exact design
-  // set while visiting at least as many leaves, and both runs must
-  // account for every leaf in the odometer space.
-  ChopSession session = fig7_session(3);
-  session.predict_partitions();
-  const std::size_t space = eligible_product(session);
-  SearchOptions opt;
-  opt.heuristic = Heuristic::Enumeration;
-  opt.prune = true;
-  opt.record_all = false;
-  opt.threads = 4;
-  opt.shared_frontier = false;
-  const SearchResult off = session.search(opt);
-  opt.shared_frontier = true;
-  const SearchResult on = session.search(opt);
-  ASSERT_FALSE(on.designs.empty());
-  ASSERT_EQ(on.designs.size(), off.designs.size());
-  for (std::size_t i = 0; i < on.designs.size(); ++i) {
-    EXPECT_EQ(on.designs[i].choice, off.designs[i].choice) << "design " << i;
-    EXPECT_EQ(on.designs[i].integration.ii_main,
-              off.designs[i].integration.ii_main);
-    EXPECT_EQ(on.designs[i].integration.system_delay_main,
-              off.designs[i].integration.system_delay_main);
-  }
-  EXPECT_EQ(on.trials + on.bound_skipped_leaves, space);
-  EXPECT_EQ(off.trials + off.bound_skipped_leaves, space);
-  EXPECT_LE(on.trials, off.trials);
-  EXPECT_EQ(off.frontier_broadcasts, 0u);
-  EXPECT_EQ(off.frontier_snapshot_hits, 0u);
 }
 
 TEST(ThreadPool, ResolveThreadsAutoDetectsZeroAndNegative) {

@@ -219,6 +219,12 @@ TEST(TelemetryVerbs, HealthzMetricsProfileServeLiveData) {
   const serve::JsonValue* job_data = per_job.find("profile");
   ASSERT_NE(job_data, nullptr);
   EXPECT_EQ(number_at(*job_data, "searches"), 1.0);
+  // The job's BAD prediction is attributed too, not only its search.
+  const serve::JsonValue* job_phases = job_data->find("phases");
+  ASSERT_NE(job_phases, nullptr);
+  const serve::JsonValue* predict = job_phases->find("predict");
+  ASSERT_NE(predict, nullptr);
+  EXPECT_EQ(number_at(*predict, "calls"), 1.0);
 
   const std::string missing =
       service.handle_line(R"({"op":"profile","id":"nope"})");

@@ -4,17 +4,11 @@
 //     --heuristic=E|I   search heuristic (default I, the Figure-5 walk)
 //     --threads=N       worker threads for the enumeration heuristic
 //                       (default 1; 0 = one worker per hardware thread;
-//                       also read from CHOP_THREADS; results are
-//                       identical at any thread count)
+//                       results are identical at any thread count)
 //     --no-bound-pruning  disable the branch-and-bound subtree pruning of
 //                       the enumeration search (identical designs either
 //                       way; useful for timing comparisons and for
-//                       recording the full design space). Also settable
-//                       via CHOP_BOUND_PRUNING=0.
-//     --no-shared-frontier  disable the cross-unit incumbent broadcast of
-//                       the bounded enumeration search (identical designs
-//                       either way; only the number of visited leaves
-//                       changes). Also settable via CHOP_SHARED_FRONTIER=0.
+//                       recording the full design space)
 //     --keep-all        disable pruning (including branch-and-bound),
 //                       report the design-space size
 //     --guideline       print the full designer guideline for every design
@@ -42,7 +36,6 @@
 // Exit status: 0 when at least one feasible design exists, 2 when none,
 // 1 on usage/parse errors — and under --certify, 1 when the frontier is
 // refuted or the space exceeds the cap.
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -73,7 +66,6 @@ struct CliOptions {
   core::Heuristic heuristic = core::Heuristic::Iterative;
   int threads = 1;
   bool bound_pruning = true;
-  bool shared_frontier = true;
   bool keep_all = false;
   bool guideline = false;
   bool auto_partition = false;
@@ -96,25 +88,19 @@ struct CliOptions {
 int usage() {
   std::cerr
       << "usage: chop_cli <project.chop> [--heuristic=E|I] [--threads=N]\n"
-         "                [--no-bound-pruning] [--no-shared-frontier]\n"
-         "                [--keep-all] [--guideline]\n"
+         "                [--no-bound-pruning] [--keep-all] [--guideline]\n"
          "                [--auto] [--generate] [--num-starts=N]\n"
          "                [--coarsening-ratio=R] [--gen-seed=N]\n"
          "                [--optimize-memory] [--dot=<file>]\n"
          "                [--save=<file>] [--report=<file>] [--trace=<file>]\n"
          "                [--metrics=<file>] [--progress]\n"
          "                [--certify[=<max-product>]] [--certify-out=<file>]\n"
-         "  --threads=N runs the enumeration search on N workers (default 1,\n"
-         "  or the CHOP_THREADS environment variable; N=0 auto-detects one\n"
-         "  worker per hardware thread); any thread count produces\n"
-         "  identical results.\n"
+         "  --threads=N runs the enumeration search on N workers (default 1;\n"
+         "  N=0 auto-detects one worker per hardware thread); any thread\n"
+         "  count produces identical results.\n"
          "  --no-bound-pruning disables the enumeration search's\n"
          "  branch-and-bound subtree pruning (the design set is identical\n"
-         "  either way; only the number of visited leaves changes). The\n"
-         "  CHOP_BOUND_PRUNING=0 environment variable does the same.\n"
-         "  --no-shared-frontier disables the cross-unit incumbent\n"
-         "  broadcast of the bounded enumeration (identical design set;\n"
-         "  more visited leaves). CHOP_SHARED_FRONTIER=0 does the same.\n"
+         "  either way; only the number of visited leaves changes).\n"
          "  --generate replaces the file's partitions with the multilevel\n"
          "  generation engine's best cut (coarsen, partition, refine; a\n"
          "  portfolio of --num-starts starts raced on --threads workers;\n"
@@ -136,19 +122,12 @@ int parse_threads(const std::string& value) {
 }
 
 bool parse_args(int argc, char** argv, CliOptions& options) {
-  // Environment default; an explicit --threads= overrides it.
-  if (const char* env = std::getenv("CHOP_THREADS")) {
-    const int n = parse_threads(env);
-    if (n >= 0) options.threads = n;
-  }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--keep-all") {
       options.keep_all = true;
     } else if (arg == "--no-bound-pruning") {
       options.bound_pruning = false;
-    } else if (arg == "--no-shared-frontier") {
-      options.shared_frontier = false;
     } else if (arg == "--guideline") {
       options.guideline = true;
     } else if (arg == "--auto") {
@@ -390,7 +369,6 @@ int main(int argc, char** argv) {
     core::SearchOptions search;
     search.heuristic = options.heuristic;
     search.threads = options.threads;
-    search.shared_frontier = options.shared_frontier;
     // --keep-all exists to record the full design space, so it implies
     // the exhaustive walk (branch-and-bound skips most of the space).
     search.bound_pruning = options.bound_pruning && !options.keep_all;
@@ -408,7 +386,6 @@ int main(int argc, char** argv) {
       auto_options.search.heuristic = options.heuristic;
       auto_options.search.threads = options.threads;
       auto_options.search.bound_pruning = options.bound_pruning;
-      auto_options.search.shared_frontier = options.shared_frontier;
       const core::AutoPartitionResult r = core::auto_partition(
           project.graph, project.library, project.chips, project.memory,
           project.config, auto_options);
@@ -433,7 +410,6 @@ int main(int argc, char** argv) {
       gen_options.threads = options.threads;
       gen_options.search.threads = 1;  // parallelism lives at the start level
       gen_options.search.bound_pruning = options.bound_pruning;
-      gen_options.search.shared_frontier = options.shared_frontier;
       Timer gen_timer;
       const gen::GenerateResult r = gen::generate_partitions(
           project.graph, project.library, project.chips, project.memory,

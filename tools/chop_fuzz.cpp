@@ -12,7 +12,7 @@
 //             [--shrink-dir=<dir>] [--max-product=<n>]
 //             [--spec-fuzz=<cases>] [--serve-fuzz=<cases>]
 //             [--replay=<file.chop>]
-//             [--inject-bound-bug] [--no-bound-pruning] [--quick]
+//             [--inject-bound-bug] [--quick]
 //
 //   --seed           run seed; digits are literal, anything else is hashed
 //   --scenarios      number of generated scenarios (default 100)
@@ -30,14 +30,10 @@
 //   --inject-bound-bug  fault-injection self-test: makes the branch-and-
 //                    bound slack inadmissible and REQUIRES the battery to
 //                    catch it (exit 0 iff the bug is caught and shrunk)
-//   --no-bound-pruning  sanity escape hatch: forces the exhaustive path
-//                    in every enumeration the battery runs (via the
-//                    CHOP_BOUND_PRUNING environment override)
 //   --quick          skip the metamorphic (raw-list) oracle group
 //
 // Exit codes: 0 all green (or injected bug caught), 1 oracle failures,
 // 2 usage/input error.
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <set>
@@ -70,7 +66,6 @@ struct Args {
   std::string replay_path;
   bool inject_bound_bug = false;
   double inject_slack = 1.25;
-  bool no_bound_pruning = false;
   bool quick = false;
 };
 
@@ -80,7 +75,7 @@ int usage() {
                "                 [--max-product=<n>] [--spec-fuzz=<cases>]\n"
                "                 [--serve-fuzz=<cases>]\n"
                "                 [--replay=<file.chop>] [--inject-bound-bug]\n"
-               "                 [--no-bound-pruning] [--quick]\n";
+               "                 [--quick]\n";
   return 2;
 }
 
@@ -226,8 +221,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--inject-bound-bug=", 0) == 0) {
       args.inject_bound_bug = true;
       args.inject_slack = std::stod(value("--inject-bound-bug="));
-    } else if (arg == "--no-bound-pruning") {
-      args.no_bound_pruning = true;
     } else if (arg == "--quick") {
       args.quick = true;
     } else {
@@ -235,11 +228,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (args.no_bound_pruning) {
-    // Same runtime switch the CLI and tests use; affects every search the
-    // battery runs in this process.
-    setenv("CHOP_BOUND_PRUNING", "0", 1);
-  }
   if (args.inject_bound_bug) {
     // An inadmissible slack (> 1) inflates the branch-and-bound lower
     // bounds, so subtrees containing feasible leaves get cut. The battery
