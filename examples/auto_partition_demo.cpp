@@ -1,5 +1,5 @@
 // The fully automated designer loop: automatic behavioral partitioning
-// (greedy operation migration under predict-and-search feedback) combined
+// (multilevel generation under predict-and-search feedback) combined
 // with automatic memory placement — the closed-loop version of the
 // paper's Figure-1 cycle, exercising its "system-level advising" and
 // "task creation" applications plus the §2.2 memory/behavior interleaving
@@ -9,9 +9,9 @@
 #include <iostream>
 
 #include "chip/mosis_packages.hpp"
-#include "core/auto_partition.hpp"
 #include "core/memory_optimizer.hpp"
 #include "dfg/benchmarks.hpp"
+#include "gen/generate.hpp"
 #include "library/experiment_library.hpp"
 
 int main() {
@@ -35,16 +35,15 @@ int main() {
   config.clocks = {300.0, 10, 1};
   config.constraints = {30000.0, 60000.0};
 
-  std::cout << "Step 1: automatic behavioral partitioning (greedy operation "
-               "migration)\n";
-  const core::AutoPartitionResult auto_result =
-      core::auto_partition(arm.graph, library, chips, memory, config);
+  std::cout << "Step 1: automatic behavioral partitioning (multilevel "
+               "generation)\n";
+  const gen::GenerateResult auto_result =
+      gen::generate_partitions(arm.graph, library, chips, memory, config);
   for (const std::string& line : auto_result.log) {
     std::cout << "  " << line << "\n";
   }
   std::cout << "  (" << auto_result.evaluations
-            << " predict+search evaluations, " << auto_result.accepted_moves
-            << " accepted moves)\n\n";
+            << " predict+search evaluations)\n\n";
   if (!auto_result.feasible()) {
     std::cout << "no feasible partitioning found\n";
     return 1;

@@ -126,26 +126,4 @@ std::vector<std::vector<dfg::NodeId>> repaired_kl_partition(
   return make_acyclic(g, kl_partition(g, ops, k, rng));
 }
 
-std::vector<std::vector<dfg::NodeId>> repaired_random_partition(
-    const dfg::Graph& g, const std::vector<dfg::NodeId>& ops, int k,
-    Rng& rng) {
-  return make_acyclic(g, random_partition(ops, k, rng));
-}
-
-std::vector<SeedPartition> diverse_seed_partitions(
-    const dfg::Graph& g, const std::vector<dfg::NodeId>& ops, int k, int count,
-    Rng& rng) {
-  std::vector<SeedPartition> seeds;
-  seeds.push_back({"level-order cut", level_order_partition(g, ops, k)});
-  if (count >= 2 && static_cast<int>(ops.size()) >= 2 * k) {
-    seeds.push_back(
-        {"kernighan-lin cut (repaired)", repaired_kl_partition(g, ops, k, rng)});
-  }
-  for (int r = static_cast<int>(seeds.size()); r < count; ++r) {
-    seeds.push_back(
-        {"random cut (repaired)", repaired_random_partition(g, ops, k, rng)});
-  }
-  return seeds;
-}
-
 }  // namespace chop::baseline

@@ -1,6 +1,7 @@
 // Simple comparison partitioners: level-order (topological slabs), greedy
 // balanced, and uniform-random assignment. Used by tests (any valid
-// partitioning must survive CHOP's pipeline) and by the baseline benches.
+// partitioning must survive CHOP's pipeline), by the baseline benches and
+// by the partition-generation portfolio's seed cuts (gen/generate.hpp).
 //
 // Note: CHOP requires the partition quotient graph to be acyclic (§2.3).
 // level_order_partition guarantees that by construction; random/greedy and
@@ -8,7 +9,6 @@
 // handing the result to CHOP.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "dfg/graph.hpp"
@@ -38,26 +38,5 @@ std::vector<std::vector<dfg::NodeId>> make_acyclic(
 /// exactly k must check. Requires ops.size() >= k.
 std::vector<std::vector<dfg::NodeId>> repaired_kl_partition(
     const dfg::Graph& g, const std::vector<dfg::NodeId>& ops, int k, Rng& rng);
-
-/// Uniform random cut repaired with make_acyclic(). Same part-count caveat
-/// as repaired_kl_partition.
-std::vector<std::vector<dfg::NodeId>> repaired_random_partition(
-    const dfg::Graph& g, const std::vector<dfg::NodeId>& ops, int k, Rng& rng);
-
-/// One named candidate seed cut for a multi-start partitioner.
-struct SeedPartition {
-  std::string name;
-  std::vector<std::vector<dfg::NodeId>> parts;
-};
-
-/// The shared seed recipe of core::auto_partition and the gen portfolio:
-/// a level-order cut first (always quotient-acyclic), one repaired KL cut
-/// when `count` >= 2 and the graph is big enough to bisect (ops >= 2k),
-/// then repaired random cuts until `count` seeds exist. Repaired entries
-/// may carry fewer than k parts (see repaired_kl_partition); callers skip
-/// those.
-std::vector<SeedPartition> diverse_seed_partitions(
-    const dfg::Graph& g, const std::vector<dfg::NodeId>& ops, int k, int count,
-    Rng& rng);
 
 }  // namespace chop::baseline

@@ -28,7 +28,6 @@
 #include "bad/testability.hpp"
 
 // CHOP itself.
-#include "core/auto_partition.hpp"
 #include "core/clock_explorer.hpp"
 #include "core/constraints.hpp"
 #include "core/integration.hpp"
@@ -42,6 +41,9 @@
 // Baselines.
 #include "baseline/kernighan_lin.hpp"
 #include "baseline/partition_builders.hpp"
+
+// Automatic partition generation.
+#include "gen/generate.hpp"
 
 // Project files and reports.
 #include "io/report.hpp"

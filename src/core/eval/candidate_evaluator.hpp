@@ -1,7 +1,7 @@
 // CandidateEvaluator — the memoizing front door to integrate(). The
 // iterative heuristic's serialization probes re-integrate points its main
-// loop already visited, auto_partition re-evaluates the same candidate
-// cuts across restarts, and clock sweeps re-run the winning candidate;
+// loop already visited, partition generation re-evaluates the same candidate
+// cuts across starts, and clock sweeps re-run the winning candidate;
 // before this layer every one of those recomputed transfer plans, urgency
 // schedules and PLA sizings from scratch. The evaluator caches
 // IntegrationResults keyed on (context fingerprint, system II, content

@@ -2,10 +2,10 @@
 // partitioning, its data-transfer tasks, the clock family, the constraint
 // budget, the feasibility criteria, and any extra reserved pins. Before
 // this layer existed every consumer (both search heuristics, the session,
-// auto_partition, the clock explorer, the memory optimizer) hand-threaded
-// the same six loose arguments into integrate(); the context collapses
-// those signatures to (context, selection, ii) and gives the memoizing
-// CandidateEvaluator a stable identity to key on.
+// the clock explorer, the memory optimizer) hand-threaded the same six
+// loose arguments into integrate(); the context collapses those signatures
+// to (context, selection, ii) and gives the memoizing CandidateEvaluator a
+// stable identity to key on.
 //
 // Lifetime rules: the Partitioning is *referenced* and must outlive the
 // context (it is typically owned by a ChopSession or a stack frame that

@@ -28,10 +28,9 @@ std::uint64_t mix(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
-/// Comparable quality of one evaluated cut (same ordering as
-/// core::auto_partition): feasibility first, then II, delay, and — on the
-/// infeasible plateau — eligible prediction count and cut width as
-/// gradients.
+/// Comparable quality of one evaluated cut: feasibility first, then II,
+/// delay, and — on the infeasible plateau — eligible prediction count and
+/// cut width as gradients.
 struct Score {
   bool feasible = false;
   Cycles ii = std::numeric_limits<Cycles>::max();
@@ -329,8 +328,6 @@ std::vector<int> random_assignment(const GenContext& ctx, Rng& rng) {
 struct VertexMove {
   int vertex = -1;
   int to = -1;
-  Bits gain = 0;       ///< External minus internal crossing bits.
-  bool positive = false;
 };
 
 /// Boundary move candidates: per boundary vertex, the gain of moving it
@@ -380,8 +377,7 @@ std::vector<VertexMove> boundary_candidates(const CoarseGraph& g,
   std::vector<VertexMove> moves;
   for (const Raw& r : raws) {
     if (static_cast<int>(moves.size()) >= cap) break;
-    moves.push_back(VertexMove{r.vertex, r.to, static_cast<Bits>(0),
-                               r.gain > 0});
+    moves.push_back(VertexMove{r.vertex, r.to});
   }
   return moves;
 }
@@ -444,17 +440,19 @@ StartOutcome run_start(const GenContext& ctx, int start_index,
   }
 
   std::size_t level = h.level_count();
-  Evaluation seed_ev = evaluate_cut(
-      ctx, out, start_index,
-      h.members_of(h.project_to_base(level, assignment), ctx.k),
-      /*repair=*/true);
-  if (seed_ev.usable) {
-    const bool better = !out.valid || seed_ev.score.better_than(out.best);
-    out.log.push_back("seed (" + seed_name + "): " +
-                      seed_ev.score.describe());
-    if (better) accept(out, std::move(seed_ev));
-  } else {
-    out.log.push_back("seed (" + seed_name + "): structurally invalid");
+  if (ctx.budget > out.evaluations) {
+    Evaluation seed_ev = evaluate_cut(
+        ctx, out, start_index,
+        h.members_of(h.project_to_base(level, assignment), ctx.k),
+        /*repair=*/true);
+    if (seed_ev.usable) {
+      const bool better = !out.valid || seed_ev.score.better_than(out.best);
+      out.log.push_back("seed (" + seed_name + "): " +
+                        seed_ev.score.describe());
+      if (better) accept(out, std::move(seed_ev));
+    } else {
+      out.log.push_back("seed (" + seed_name + "): structurally invalid");
+    }
   }
   initial_phase.stop();
 

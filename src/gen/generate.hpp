@@ -115,7 +115,7 @@ struct GenerateResult {
 };
 
 /// Generates partitionings of `spec` onto `chips` (one partition per
-/// chip, like core::auto_partition) under `config`. See the file comment
+/// chip, partition p on chip p) under `config`. See the file comment
 /// for the algorithm and determinism contract. Throws chop::Error when no
 /// structurally valid cut can be built at all.
 GenerateResult generate_partitions(const dfg::Graph& spec,

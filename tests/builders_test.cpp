@@ -138,8 +138,8 @@ TEST(RepairedBuilders, RepairsDisconnectedImbalancedCuts) {
   const dfg::BenchmarkGraph bg = dfg::random_dag(rng, spec);
   for (int k : {2, 3, 5}) {
     Rng cut_rng(static_cast<std::uint64_t>(k) * 13);
-    const auto parts =
-        repaired_random_partition(bg.graph, bg.all_operations(), k, cut_rng);
+    const auto parts = make_acyclic(
+        bg.graph, random_partition(bg.all_operations(), k, cut_rng));
     EXPECT_LE(parts.size(), static_cast<std::size_t>(k));
     EXPECT_TRUE(chop_accepts(bg.graph, parts)) << "k=" << k;
     std::set<dfg::NodeId> seen;
@@ -148,19 +148,6 @@ TEST(RepairedBuilders, RepairsDisconnectedImbalancedCuts) {
       for (dfg::NodeId id : p) EXPECT_TRUE(seen.insert(id).second);
     }
     EXPECT_EQ(seen.size(), 30u);
-  }
-}
-
-TEST(DiverseSeedPartitions, LevelOrderFirstAllValid) {
-  const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
-  Rng rng(31);
-  const auto seeds =
-      diverse_seed_partitions(ar.graph, ar.all_operations(), 3, 5, rng);
-  ASSERT_GE(seeds.size(), 3u);
-  EXPECT_EQ(seeds.front().name, "level-order cut");
-  for (const auto& seed : seeds) {
-    if (seed.parts.size() != 3u) continue;  // repair merged; callers skip
-    EXPECT_TRUE(chop_accepts(ar.graph, seed.parts)) << seed.name;
   }
 }
 

@@ -1,15 +1,15 @@
 // Tests for the evaluation-engine layer: EvalContext fingerprints,
 // CandidateEvaluator memoization correctness (cached results equal fresh
-// ones — across the iterative heuristic and an auto_partition run), and
+// ones — across the iterative heuristic and a partition-generation run), and
 // the bounded-residency eviction guarantee.
 #include "core/eval/candidate_evaluator.hpp"
 
 #include <gtest/gtest.h>
 
 #include "chip/mosis_packages.hpp"
-#include "core/auto_partition.hpp"
 #include "core/session.hpp"
 #include "dfg/benchmarks.hpp"
+#include "gen/generate.hpp"
 #include "library/experiment_library.hpp"
 #include "obs/metrics.hpp"
 
@@ -214,20 +214,19 @@ TEST(CandidateEvaluator, AutoPartitionCachedRunEqualsFreshRun) {
   config.clocks = {300.0, 10, 1};
   config.constraints = {30000.0, 30000.0};
 
-  AutoPartitionOptions cached_options;
-  cached_options.restarts = 2;
-  cached_options.max_iterations = 2;
-  const AutoPartitionResult cached = auto_partition(
+  gen::GenerateOptions cached_options;  // the run's shared evaluator
+  cached_options.num_starts = 2;
+  cached_options.budget = 6;
+  const gen::GenerateResult cached = gen::generate_partitions(
       ar.graph, library(), chips, {}, config, cached_options);
 
-  AutoPartitionOptions fresh_options = cached_options;
+  gen::GenerateOptions fresh_options = cached_options;
   CandidateEvaluator no_cache(0);  // recompute every integration
   fresh_options.search.evaluator = &no_cache;
-  const AutoPartitionResult fresh = auto_partition(
+  const gen::GenerateResult fresh = gen::generate_partitions(
       ar.graph, library(), chips, {}, config, fresh_options);
 
   EXPECT_EQ(cached.members, fresh.members);
-  EXPECT_EQ(cached.accepted_moves, fresh.accepted_moves);
   EXPECT_EQ(cached.evaluations, fresh.evaluations);
   EXPECT_EQ(cached.log, fresh.log);
   expect_same_designs(cached.search, fresh.search);

@@ -1,14 +1,16 @@
 // Tests for the automated designer-loop extensions: memory placement
-// optimization and automatic constraint-driven partitioning.
+// optimization and automatic constraint-driven partitioning through
+// gen::generate_partitions at its default settings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "chip/mosis_packages.hpp"
-#include "core/auto_partition.hpp"
 #include "core/memory_optimizer.hpp"
 #include "dfg/benchmarks.hpp"
+#include "gen/generate.hpp"
 #include "library/experiment_library.hpp"
 
 namespace chop::core {
@@ -111,13 +113,25 @@ TEST(MemoryOptimizer, NoBlocksIsANoOp) {
 
 // ---- automatic partitioning ----
 
+std::vector<chip::ChipInstance> mosis84_chips(int n) {
+  std::vector<chip::ChipInstance> chips;
+  for (int c = 0; c < n; ++c) {
+    chips.push_back({"c" + std::to_string(c), chip::mosis_package_84()});
+  }
+  return chips;
+}
+
+bool has_line(const std::vector<std::string>& log, const std::string& text) {
+  return std::any_of(log.begin(), log.end(), [&](const std::string& line) {
+    return line.find(text) != std::string::npos;
+  });
+}
+
 TEST(AutoPartition, FindsFeasibleTwoChipCut) {
   const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
-  const AutoPartitionResult r = auto_partition(
-      ar.graph, library(),
-      {{"c0", chip::mosis_package_84()}, {"c1", chip::mosis_package_84()}},
-      {}, exp1_config());
-  EXPECT_TRUE(r.feasible());
+  const gen::GenerateResult r = gen::generate_partitions(
+      ar.graph, library(), mosis84_chips(2), {}, exp1_config());
+  ASSERT_TRUE(r.feasible());
   ASSERT_EQ(r.members.size(), 2u);
   // All 28 operations covered, disjointly.
   std::set<dfg::NodeId> seen;
@@ -126,45 +140,46 @@ TEST(AutoPartition, FindsFeasibleTwoChipCut) {
   }
   EXPECT_EQ(seen.size(), 28u);
   EXPECT_GE(r.evaluations, 1u);
-  EXPECT_FALSE(r.log.empty());
   // Matches (or beats) the paper's manual 2-way result of II=30.
+  ASSERT_FALSE(r.search.designs.empty());
   EXPECT_LE(r.search.designs.front().integration.ii_main, 30);
 }
 
 TEST(AutoPartition, SingleChipDegenerates) {
   const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
-  const AutoPartitionResult r = auto_partition(
-      ar.graph, library(), {{"c0", chip::mosis_package_84()}}, {},
-      exp1_config());
+  const gen::GenerateResult r = gen::generate_partitions(
+      ar.graph, library(), mosis84_chips(1), {}, exp1_config());
   ASSERT_EQ(r.members.size(), 1u);
   EXPECT_EQ(r.members[0].size(), 28u);
-  EXPECT_EQ(r.accepted_moves, 0);  // no boundary to move across
   EXPECT_TRUE(r.feasible());
+  EXPECT_FALSE(has_line(r.log, "move"));  // no boundary to move across
 }
 
 TEST(AutoPartition, LogNarratesDecisions) {
   const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
-  const AutoPartitionResult r = auto_partition(
-      ar.graph, library(),
-      {{"c0", chip::mosis_package_84()}, {"c1", chip::mosis_package_84()}},
-      {}, exp1_config());
+  const gen::GenerateOptions options;
+  const gen::GenerateResult r = gen::generate_partitions(
+      ar.graph, library(), mosis84_chips(2), {}, exp1_config(), options);
   ASSERT_GE(r.log.size(), 2u);
-  EXPECT_NE(r.log.front().find("seed"), std::string::npos);
-  EXPECT_NE(r.log.back().find("final"), std::string::npos);
-  EXPECT_EQ(static_cast<int>(r.log.size()) - 2, r.accepted_moves);
+  EXPECT_EQ(r.log.front().rfind("coarsened", 0), 0u) << r.log.front();
+  for (int s = 0; s < options.num_starts; ++s) {
+    EXPECT_TRUE(has_line(r.log, "start " + std::to_string(s) + ": seed ("))
+        << "start " << s;
+  }
+  EXPECT_EQ(r.log.back().rfind("final:", 0), 0u) << r.log.back();
 }
 
 TEST(AutoPartition, IterationCapHonored) {
   const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
-  AutoPartitionOptions options;
-  options.max_iterations = 0;
-  const AutoPartitionResult r = auto_partition(
-      ar.graph, library(),
-      {{"c0", chip::mosis_package_84()}, {"c1", chip::mosis_package_84()}},
-      {}, exp1_config(), options);
-  EXPECT_EQ(r.accepted_moves, 0);
-  // One evaluation per seed restart, no migrations.
-  EXPECT_LE(r.evaluations, 3u);
+  gen::GenerateOptions options;
+  options.num_starts = 3;
+  options.budget = 1;
+  const gen::GenerateResult r = gen::generate_partitions(
+      ar.graph, library(), mosis84_chips(2), {}, exp1_config(), options);
+  // At most `budget` evaluations per start, plus the final pass over the
+  // winning cut.
+  EXPECT_LE(r.evaluations,
+            static_cast<std::size_t>(options.num_starts) * options.budget + 1);
   EXPECT_GE(r.evaluations, 1u);
 }
 
@@ -176,10 +191,8 @@ TEST(AutoPartition, HandlesMemoryWorkload) {
   memory.chip_of_block = {0, 1};
   ChopConfig config = exp1_config();
   config.constraints = {30000.0, 60000.0};
-  const AutoPartitionResult r = auto_partition(
-      arm.graph, library(),
-      {{"c0", chip::mosis_package_84()}, {"c1", chip::mosis_package_84()}},
-      memory, config);
+  const gen::GenerateResult r = gen::generate_partitions(
+      arm.graph, library(), mosis84_chips(2), memory, config);
   // Memory ops must be covered too (33 operations total).
   std::size_t total = 0;
   for (const auto& part : r.members) total += part.size();
@@ -188,14 +201,14 @@ TEST(AutoPartition, HandlesMemoryWorkload) {
 
 TEST(AutoPartition, RejectsBadOptions) {
   const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
-  AutoPartitionOptions options;
-  options.max_candidates_per_iteration = 0;
-  EXPECT_THROW(auto_partition(ar.graph, library(),
-                              {{"c0", chip::mosis_package_84()}}, {},
-                              exp1_config(), options),
+  gen::GenerateOptions options;
+  options.num_starts = 0;
+  EXPECT_THROW(gen::generate_partitions(ar.graph, library(), mosis84_chips(1),
+                                        {}, exp1_config(), options),
                Error);
   EXPECT_THROW(
-      auto_partition(ar.graph, library(), {}, {}, exp1_config()), Error);
+      gen::generate_partitions(ar.graph, library(), {}, {}, exp1_config()),
+      Error);
 }
 
 }  // namespace

@@ -12,12 +12,15 @@
 //     --keep-all        disable pruning (including branch-and-bound),
 //                       report the design-space size
 //     --guideline       print the full designer guideline for every design
-//     --auto            ignore the file's partitions; partition
+//     --generate        ignore the file's partitions; generate them
 //                       automatically (one partition per declared chip)
-//     --optimize-memory sweep memory placements after (auto-)partitioning
+//     --num-starts=N    generation portfolio size (default 4)
+//     --coarsening-ratio=R  generation coarsening threshold (default 0.65)
+//     --gen-seed=N      generation random seed (default 1)
+//     --optimize-memory sweep memory placements after partitioning
 //     --dot=<file>      write the partitioned graph as Graphviz
-//     --save=<file>     write the (possibly auto-)partitioned project back
-//                       out as a .chop file
+//     --save=<file>     write the (possibly generated) partitioned project
+//                       back out as a .chop file
 //     --report=<file>   write a Markdown report of the session
 //     --trace=<file>    write a Chrome trace-event JSON of the run
 //                       (open in chrome://tracing or Perfetto)
@@ -41,7 +44,6 @@
 #include <memory>
 #include <string>
 
-#include "core/auto_partition.hpp"
 #include "gen/generate.hpp"
 #include "core/eval/thread_pool.hpp"
 #include "core/memory_optimizer.hpp"
@@ -68,7 +70,6 @@ struct CliOptions {
   bool bound_pruning = true;
   bool keep_all = false;
   bool guideline = false;
-  bool auto_partition = false;
   bool generate = false;
   int num_starts = 4;
   double coarsening_ratio = 0.65;
@@ -89,7 +90,7 @@ int usage() {
   std::cerr
       << "usage: chop_cli <project.chop> [--heuristic=E|I] [--threads=N]\n"
          "                [--no-bound-pruning] [--keep-all] [--guideline]\n"
-         "                [--auto] [--generate] [--num-starts=N]\n"
+         "                [--generate] [--num-starts=N]\n"
          "                [--coarsening-ratio=R] [--gen-seed=N]\n"
          "                [--optimize-memory] [--dot=<file>]\n"
          "                [--save=<file>] [--report=<file>] [--trace=<file>]\n"
@@ -101,10 +102,11 @@ int usage() {
          "  --no-bound-pruning disables the enumeration search's\n"
          "  branch-and-bound subtree pruning (the design set is identical\n"
          "  either way; only the number of visited leaves changes).\n"
-         "  --generate replaces the file's partitions with the multilevel\n"
-         "  generation engine's best cut (coarsen, partition, refine; a\n"
-         "  portfolio of --num-starts starts raced on --threads workers;\n"
-         "  byte-identical results at any thread count).\n";
+         "  --generate replaces the file's partitions (the file may omit\n"
+         "  them) with the multilevel generation engine's best cut, one\n"
+         "  partition per chip (coarsen, partition, refine; a portfolio of\n"
+         "  --num-starts starts raced on --threads workers; byte-identical\n"
+         "  results at any thread count).\n";
   return 1;
 }
 
@@ -130,8 +132,6 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       options.bound_pruning = false;
     } else if (arg == "--guideline") {
       options.guideline = true;
-    } else if (arg == "--auto") {
-      options.auto_partition = true;
     } else if (arg == "--generate") {
       options.generate = true;
     } else if (arg.rfind("--num-starts=", 0) == 0) {
@@ -209,8 +209,6 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       return false;
     }
   }
-  // --auto and --generate both replace the file's partitions; one at a time.
-  if (options.generate && options.auto_partition) return false;
   if (options.certify) {
     // Certification compares the searched frontier point for point with
     // the proven optimum, so it needs the enumeration heuristic over the
@@ -363,7 +361,7 @@ int main(int argc, char** argv) {
 
   try {
     // --threads=0: one worker per hardware thread, resolved once here so
-    // every search (including --auto) sees a concrete count.
+    // every search (including --generate's) sees a concrete count.
     options.threads = core::ThreadPool::resolve_threads(options.threads);
 
     core::SearchOptions search;
@@ -377,25 +375,6 @@ int main(int argc, char** argv) {
     search.max_trials = options.keep_all ? 500000 : 0;
     obs::ProgressPrinter progress_printer(std::cerr, 1000);
     if (options.progress) search.observer = &progress_printer;
-
-    // --auto replaces the file's partitions with automatic ones.
-    if (options.auto_partition) {
-      std::cout << "automatic partitioning over "
-                << project.chips.size() << " chip(s)...\n";
-      core::AutoPartitionOptions auto_options;
-      auto_options.search.heuristic = options.heuristic;
-      auto_options.search.threads = options.threads;
-      auto_options.search.bound_pruning = options.bound_pruning;
-      const core::AutoPartitionResult r = core::auto_partition(
-          project.graph, project.library, project.chips, project.memory,
-          project.config, auto_options);
-      for (const std::string& line : r.log) std::cout << "  " << line << "\n";
-      project.partitions.clear();
-      for (std::size_t p = 0; p < r.members.size(); ++p) {
-        project.partitions.push_back(core::Partition{
-            "P" + std::to_string(p + 1), r.members[p], static_cast<int>(p)});
-      }
-    }
 
     // --generate replaces the file's partitions with the multilevel
     // engine's best cut, then the normal predict+search run below reports
@@ -477,7 +456,7 @@ int main(int argc, char** argv) {
     }
 
     if (!options.save_path.empty()) {
-      // Persist the (auto-)partitioned project, including any memory
+      // Persist the (possibly generated) partitioned project, including any memory
       // placement the optimizer installed in the session.
       io::Project saved = project;
       saved.memory = session.partitioning().memory();
