@@ -24,7 +24,7 @@ void print_table() {
         bench::make_experiment_session(bench::Experiment::One, 2);
     core::DesignConstraints constraints = session.config().constraints;
     constraints.system_power_mw = budget;
-    session.set_constraints(constraints);
+    session.apply(core::EvalDelta::set_constraints(constraints));
     const core::PredictionStats stats = session.predict_partitions();
     core::SearchOptions options;
     options.heuristic = core::Heuristic::Enumeration;
@@ -48,7 +48,7 @@ void BM_power_constrained_search(benchmark::State& state) {
       bench::make_experiment_session(bench::Experiment::One, 2);
   core::DesignConstraints constraints = session.config().constraints;
   constraints.system_power_mw = static_cast<double>(state.range(0));
-  session.set_constraints(constraints);
+  session.apply(core::EvalDelta::set_constraints(constraints));
   session.predict_partitions();
   core::SearchOptions options;
   for (auto _ : state) {

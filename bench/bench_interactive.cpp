@@ -4,10 +4,11 @@
 //
 // Four canned Figure-7 deltas on the experiment-1 AR filter (a partition
 // migration, a package swap, a clock retune, a constraint tightening)
-// each run as round trips: apply(delta) → research() → apply(inverse) →
-// research() on one long-lived session, versus a cold
-// session+predict+search at every visited state. Three properties are
-// checked/reported per group:
+// each run as round trips on one long-lived session — apply(delta) →
+// predict_partitions() → search(), then the same for the inverse delta —
+// versus a cold session+predict+search at every visited state. The warm
+// side re-runs BAD only for dirtied partitions and keeps the session
+// evaluator's memo. Three properties are checked/reported per group:
 //  * byte identity — render_search_result() of the incremental run must
 //    equal the cold run's at every state (the correctness oracle);
 //  * work reduction — the incremental path must perform strictly fewer
@@ -157,7 +158,8 @@ std::string run_incremental(core::ChopSession& session,
   const std::uint64_t before = attempts_counter().value();
   Timer timer;
   session.apply(delta);
-  const core::SearchResult result = session.research(core::SearchOptions{});
+  session.predict_partitions();
+  const core::SearchResult result = session.search(core::SearchOptions{});
   stats->ms.push_back(timer.elapsed_ms());
   stats->attempts += attempts_counter().value() - before;
   return serve::render_search_result(result).dump();

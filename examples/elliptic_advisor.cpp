@@ -69,21 +69,22 @@ int main() {
 
   // --- modification group 1: behavioral — migrate the merge partition's
   // work onto chainB's chip to free the 64-pin chip entirely.
-  session.mutate_partitioning().move_partition_to_chip(2, 1);
+  session.apply(core::EvalDelta::move_partition_to_chip(2, 1));
   report(session, "after moving 'merge' onto dsp1 (partition migration)");
 
   // --- modification group 2: memory — pull the sample RAM on chip.
-  session.mutate_partitioning().set_memory_placement(1, 1);
+  session.apply(core::EvalDelta::set_memory_placement(1, 1));
   report(session, "after placing sample_ram on dsp1 (memory re-placement)");
 
   // --- modification group 3: target chip set — downgrade dsp0 to 64 pins.
-  session.mutate_partitioning().replace_chip_package(0, chip::mosis_package_64());
+  session.apply(
+      core::EvalDelta::replace_chip_package(0, chip::mosis_package_64()));
   report(session, "after downgrading dsp0 to the 64-pin package");
 
   // --- modification group 4: constraints — tighten the budgets until the
   // partitioning breaks, locating the feasibility frontier.
   for (double budget : {60000.0, 40000.0, 25000.0, 15000.0}) {
-    session.set_constraints({budget, budget});
+    session.apply(core::EvalDelta::set_constraints({budget, budget}));
     report(session, "with performance = delay = " +
                         std::to_string(static_cast<int>(budget)) + " ns");
   }

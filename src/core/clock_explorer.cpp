@@ -44,7 +44,7 @@ ClockExplorationResult explore_clocks(
   for (const ClockCandidate& candidate : candidates) {
     obs::TraceSpan candidate_span("clock_explorer.candidate");
     candidate_span.arg("clock", candidate.label());
-    session.set_clocking(candidate.style, candidate.clocks);
+    session.apply(EvalDelta::set_clocking(candidate.style, candidate.clocks));
     ClockPoint point;
     point.candidate = candidate;
     const PredictionStats stats = session.predict_partitions();
@@ -76,7 +76,7 @@ ClockExplorationResult explore_clocks(
   if (out.best_index >= 0) {
     const ClockCandidate& winner =
         out.points[static_cast<std::size_t>(out.best_index)].candidate;
-    session.set_clocking(winner.style, winner.clocks);
+    session.apply(EvalDelta::set_clocking(winner.style, winner.clocks));
     session.predict_partitions();
   }
   return out;

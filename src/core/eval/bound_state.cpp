@@ -8,7 +8,6 @@
 #include "core/partitioning.hpp"
 #include "core/transfer.hpp"
 #include "library/component_library.hpp"
-#include "obs/metrics.hpp"
 
 namespace chop::core {
 
@@ -73,38 +72,15 @@ void PrefixState::pop() {
   frames_.pop_back();
 }
 
-void BoundTablesCache::prepare(std::uint64_t statics_key,
-                               std::vector<std::uint64_t> column_keys) {
-  if (columns_.size() != column_keys.size()) {
-    // Partition count changed: every stored column is for a different
-    // problem shape.
-    columns_.assign(column_keys.size(), Column{});
-  }
-  statics_key_ = statics_key;
-  column_keys_ = std::move(column_keys);
-  armed_ = true;
-}
-
 BoundTables::BoundTables(
     const EvalContext& ctx,
-    const std::vector<std::vector<bad::DesignPrediction>>& lists,
-    BoundTablesCache* cache)
+    const std::vector<std::vector<bad::DesignPrediction>>& lists)
     : ctx_(&ctx) {
   const Partitioning& pt = ctx.partitioning();
   const auto& chips = pt.chips();
   const auto& partitions = pt.partitions();
   const std::size_t nchips = chips.size();
   const std::size_t nparts = partitions.size();
-
-  static obs::Counter& cols_reused_counter =
-      obs::MetricsRegistry::global().counter("eval.delta_bound_cols_reused");
-  static obs::Counter& cols_rebuilt_counter =
-      obs::MetricsRegistry::global().counter("eval.delta_bound_cols_rebuilt");
-
-  if (cache != nullptr &&
-      (!cache->armed_ || cache->column_keys_.size() != nparts)) {
-    cache = nullptr;  // unarmed or mis-shaped cache: behave as cacheless
-  }
 
   chip_of_.resize(nparts);
   for (std::size_t p = 0; p < nparts; ++p) chip_of_[p] = partitions[p].chip;
@@ -114,82 +90,59 @@ BoundTables::BoundTables(
     chip_usable_[c] = chips[c].package.usable_area();
   }
 
-  if (cache != nullptr && cache->statics_.valid &&
-      cache->statics_.key == cache->statics_key_ &&
-      cache->statics_.chip_base_area.size() == nchips) {
-    // Statics reuse: everything below is a pure function of the core
-    // fingerprint the statics key digests.
-    chip_base_area_ = cache->statics_.chip_base_area;
-    required_ii_ = cache->statics_.required_ii;
-    transfer_charge_ = cache->statics_.transfer_charge;
-    space_infeasible_ = cache->statics_.pin_infeasible;
-    ++cache->stats_.statics_reused;
-  } else {
-    // Fixed on-chip memory macro area, exactly as integrate() charges it.
-    chip_base_area_.assign(nchips, StatVal{});
-    for (std::size_t b = 0; b < pt.memory().blocks.size(); ++b) {
-      const int placement = pt.memory().placement(static_cast<int>(b));
-      if (placement != chip::kOffTheShelfChip) {
-        chip_base_area_[static_cast<std::size_t>(placement)] +=
-            StatVal(pt.memory().blocks[b].area);
-      }
+  // Fixed on-chip memory macro area, exactly as integrate() charges it.
+  chip_base_area_.assign(nchips, StatVal{});
+  for (std::size_t b = 0; b < pt.memory().blocks.size(); ++b) {
+    const int placement = pt.memory().placement(static_cast<int>(b));
+    if (placement != chip::kOffTheShelfChip) {
+      chip_base_area_[static_cast<std::size_t>(placement)] +=
+          StatVal(pt.memory().blocks[b].area);
     }
+  }
 
-    // Selection-independent integration facts: per-chip data-pin budgets,
-    // crossing-transfer durations (every term in integrate()'s transfer
-    // plan is fixed by the partitioning + clocks), and the pin-mux clock
-    // charge.
-    const std::vector<Pins> reserved =
-        reserved_control_pins(pt, ctx.transfers());
-    std::vector<Pins> data_pins(nchips, 0);
+  // Selection-independent integration facts: per-chip data-pin budgets,
+  // crossing-transfer durations (every term in integrate()'s transfer
+  // plan is fixed by the partitioning + clocks), and the pin-mux clock
+  // charge.
+  const std::vector<Pins> reserved = reserved_control_pins(pt, ctx.transfers());
+  std::vector<Pins> data_pins(nchips, 0);
+  for (std::size_t c = 0; c < nchips; ++c) {
+    data_pins[c] =
+        chips[c].package.signal_pins() - reserved[c] - ctx.extra_pins();
+    if (data_pins[c] <= 0) space_infeasible_ = true;
+  }
+
+  std::vector<int> sharing(nchips, 0);
+  if (!space_infeasible_) {
+    for (const DataTransfer& t : ctx.transfers()) {
+      for (int c : t.chips) ++sharing[static_cast<std::size_t>(c)];
+      if (!t.crosses_pins()) continue;
+      Pins bw = std::numeric_limits<Pins>::max();
+      for (int c : t.chips) {
+        bw = std::min(bw, data_pins[static_cast<std::size_t>(c)]);
+      }
+      const Pins pins =
+          static_cast<Pins>(std::min<Bits>(bw, std::max<Bits>(1, t.bits)));
+      const Cycles transfer_clocks = static_cast<Cycles>(
+          (t.bits + pins - 1) / std::max<Pins>(1, pins));
+      Ns pad_path = 0.0;
+      for (int c : t.chips) {
+        pad_path += chips[static_cast<std::size_t>(c)].package.pad_delay;
+      }
+      const Cycles pad_cycles = static_cast<Cycles>(
+          std::ceil(pad_path / ctx.clocks().transfer_period()));
+      const Cycles cycles = std::max<Cycles>(
+          1, transfer_clocks * ctx.clocks().transfer_multiplier + pad_cycles);
+      required_ii_ = std::max(required_ii_, cycles);
+    }
+    const lib::BitCellSpec mux{18.0, 4.0};
     for (std::size_t c = 0; c < nchips; ++c) {
-      data_pins[c] =
-          chips[c].package.signal_pins() - reserved[c] - ctx.extra_pins();
-      if (data_pins[c] <= 0) space_infeasible_ = true;
-    }
-
-    std::vector<int> sharing(nchips, 0);
-    if (!space_infeasible_) {
-      for (const DataTransfer& t : ctx.transfers()) {
-        for (int c : t.chips) ++sharing[static_cast<std::size_t>(c)];
-        if (!t.crosses_pins()) continue;
-        Pins bw = std::numeric_limits<Pins>::max();
-        for (int c : t.chips) {
-          bw = std::min(bw, data_pins[static_cast<std::size_t>(c)]);
-        }
-        const Pins pins =
-            static_cast<Pins>(std::min<Bits>(bw, std::max<Bits>(1, t.bits)));
-        const Cycles transfer_clocks = static_cast<Cycles>(
-            (t.bits + pins - 1) / std::max<Pins>(1, pins));
-        Ns pad_path = 0.0;
-        for (int c : t.chips) {
-          pad_path += chips[static_cast<std::size_t>(c)].package.pad_delay;
-        }
-        const Cycles pad_cycles = static_cast<Cycles>(
-            std::ceil(pad_path / ctx.clocks().transfer_period()));
-        const Cycles cycles = std::max<Cycles>(
-            1, transfer_clocks * ctx.clocks().transfer_multiplier + pad_cycles);
-        required_ii_ = std::max(required_ii_, cycles);
-      }
-      const lib::BitCellSpec mux{18.0, 4.0};
-      for (std::size_t c = 0; c < nchips; ++c) {
-        if (sharing[c] <= 1) continue;
-        const int levels =
-            static_cast<int>(std::ceil(std::log2(sharing[c])));
-        transfer_charge_ = std::max(
-            transfer_charge_,
-            static_cast<double>(levels) * mux.delay /
-                static_cast<double>(ctx.clocks().transfer_multiplier));
-      }
-    }
-    if (cache != nullptr) {
-      cache->statics_.valid = true;
-      cache->statics_.key = cache->statics_key_;
-      cache->statics_.pin_infeasible = space_infeasible_;
-      cache->statics_.required_ii = required_ii_;
-      cache->statics_.transfer_charge = transfer_charge_;
-      cache->statics_.chip_base_area = chip_base_area_;
-      ++cache->stats_.statics_rebuilt;
+      if (sharing[c] <= 1) continue;
+      const int levels = static_cast<int>(std::ceil(std::log2(sharing[c])));
+      transfer_charge_ = std::max(
+          transfer_charge_,
+          static_cast<double>(levels) * mux.delay /
+              static_cast<double>(ctx.clocks().transfer_multiplier));
     }
   }
 
@@ -206,77 +159,26 @@ BoundTables::BoundTables(
   for (std::size_t m = 1; m <= nparts; ++m) {
     const std::size_t p = m - 1;
     const auto& cands = lists[p];
-
-    // Column reuse: the cached minima are a pure function of the list
-    // content the column key digests; the size cross-check is a belt-and-
-    // braces guard against key misuse.
-    BoundTablesCache::Column* col =
-        cache != nullptr ? &cache->columns_[p] : nullptr;
-    const bool col_hit = col != nullptr && col->valid &&
-                         col->key == cache->column_keys_[p] &&
-                         col->list_size == cands.size();
-    if (col_hit) {
-      ++cache->stats_.cols_reused;
-      cols_reused_counter.add();
-    } else {
-      if (cache != nullptr) ++cache->stats_.cols_rebuilt;
-      cols_rebuilt_counter.add();
-    }
-
-    if (col_hit ? col->empty : cands.empty()) {
+    if (cands.empty()) {
       space_infeasible_ = true;
       rem_leaves_[m] = 0;
-      if (col != nullptr && !col_hit) {
-        *col = BoundTablesCache::Column{};
-        col->valid = true;
-        col->key = cache->column_keys_[p];
-        col->empty = true;
-        col->list_size = 0;
-      }
       continue;
     }
 
-    StatVal min_area;
-    StatVal min_power;
-    Cycles min_ii = 0;
-    Cycles max_ii = 0;
-    Cycles min_latency = 0;
-    Ns min_overhead = 0.0;
-    if (col_hit) {
-      min_area = col->min_area;
-      min_power = col->min_power;
-      min_ii = col->min_ii;
-      max_ii = col->max_ii;
-      min_latency = col->min_latency;
-      min_overhead = col->min_overhead;
-    } else {
-      min_area = cands.front().total_area;
-      min_power = cands.front().power_mw;
-      min_ii = cands.front().ii_main;
-      max_ii = cands.front().ii_main;
-      min_latency = cands.front().latency_main;
-      min_overhead = cands.front().clock_overhead_ns;
-      for (std::size_t i = 1; i < cands.size(); ++i) {
-        const bad::DesignPrediction& cand = cands[i];
-        min_area = component_min(min_area, cand.total_area);
-        min_power = component_min(min_power, cand.power_mw);
-        min_ii = std::min(min_ii, cand.ii_main);
-        max_ii = std::max(max_ii, cand.ii_main);
-        min_latency = std::min(min_latency, cand.latency_main);
-        min_overhead = std::min(min_overhead, cand.clock_overhead_ns);
-      }
-      if (col != nullptr) {
-        col->valid = true;
-        col->key = cache->column_keys_[p];
-        col->empty = false;
-        col->list_size = cands.size();
-        col->min_area = min_area;
-        col->min_power = min_power;
-        col->min_ii = min_ii;
-        col->max_ii = max_ii;
-        col->min_latency = min_latency;
-        col->min_overhead = min_overhead;
-      }
+    StatVal min_area = cands.front().total_area;
+    StatVal min_power = cands.front().power_mw;
+    Cycles min_ii = cands.front().ii_main;
+    Cycles max_ii = cands.front().ii_main;
+    Cycles min_latency = cands.front().latency_main;
+    Ns min_overhead = cands.front().clock_overhead_ns;
+    for (std::size_t i = 1; i < cands.size(); ++i) {
+      const bad::DesignPrediction& cand = cands[i];
+      min_area = component_min(min_area, cand.total_area);
+      min_power = component_min(min_power, cand.power_mw);
+      min_ii = std::min(min_ii, cand.ii_main);
+      max_ii = std::max(max_ii, cand.ii_main);
+      min_latency = std::min(min_latency, cand.latency_main);
+      min_overhead = std::min(min_overhead, cand.clock_overhead_ns);
     }
 
     rem_min_area_[m] = rem_min_area_[m - 1];

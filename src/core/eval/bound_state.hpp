@@ -104,78 +104,6 @@ class PrefixState {
   std::vector<Frame> frames_;
 };
 
-/// Session-owned memo for BoundTables construction across §2.7 revisions.
-///
-/// Rebuilding bound tables costs one O(list size) minima scan per
-/// partition plus a statics pass over the transfers. After an EvalDelta
-/// most of that is unchanged: a constraint edit touches no list the raw
-/// family uses and no static, a single-partition edit dirties one column.
-/// The cache stores the per-partition minima ("columns") and the
-/// selection-independent statics, each under a caller-provided content
-/// key, so the next BoundTables construction reuses every column whose
-/// key still matches and rescans only the dirty ones.
-///
-/// Keying contract: the owner (ChopSession) calls prepare() immediately
-/// before a search with one key per partition — a digest of everything
-/// the partition's candidate list was computed from (prediction inputs,
-/// pruning budget, list family) — plus a statics key (the context's core
-/// fingerprint). Equal keys MUST imply identical list content; the
-/// session derives them from the same input fingerprints that decide
-/// prediction reuse, so this holds by construction. An unarmed cache (no
-/// prepare() since construction) is ignored entirely — behavior is then
-/// byte-identical to passing no cache.
-///
-/// Not thread-safe: confined to one session's research path, and
-/// BoundTables construction happens before search workers fan out.
-class BoundTablesCache {
- public:
-  struct Stats {
-    std::uint64_t cols_reused = 0;
-    std::uint64_t cols_rebuilt = 0;
-    std::uint64_t statics_reused = 0;
-    std::uint64_t statics_rebuilt = 0;
-  };
-
-  /// Arms the cache for the next BoundTables construction: `column_keys`
-  /// has one content key per partition (in partition order) and
-  /// `statics_key` covers the selection-independent facts.
-  void prepare(std::uint64_t statics_key,
-               std::vector<std::uint64_t> column_keys);
-
-  Stats stats() const { return stats_; }
-
- private:
-  friend class BoundTables;
-
-  struct Column {
-    bool valid = false;
-    std::uint64_t key = 0;
-    bool empty = false;          ///< The list had no candidates.
-    std::size_t list_size = 0;   ///< Sanity cross-check against the key.
-    StatVal min_area;
-    StatVal min_power;
-    Cycles min_ii = 0;
-    Cycles max_ii = 0;
-    Cycles min_latency = 0;
-    Ns min_overhead = 0.0;
-  };
-  struct Statics {
-    bool valid = false;
-    std::uint64_t key = 0;
-    bool pin_infeasible = false;
-    Cycles required_ii = 0;
-    Ns transfer_charge = 0.0;
-    std::vector<StatVal> chip_base_area;
-  };
-
-  bool armed_ = false;
-  std::uint64_t statics_key_ = 0;
-  std::vector<std::uint64_t> column_keys_;
-  Statics statics_;
-  std::vector<Column> columns_;
-  Stats stats_;
-};
-
 /// Precomputed admissible bounds for one (context, candidate lists) pair:
 /// the selection-independent integration facts (data-pin budgets, the
 /// minimum II any crossing transfer demands, the transfer clock charge,
@@ -187,12 +115,8 @@ class BoundTablesCache {
 /// partitions are still open" is exactly the DFS frontier.
 class BoundTables {
  public:
-  /// `cache`, when non-null and armed (see BoundTablesCache), supplies
-  /// memoized statics and per-partition minima and absorbs whatever this
-  /// construction recomputes. A null or unarmed cache changes nothing.
   BoundTables(const EvalContext& ctx,
-              const std::vector<std::vector<bad::DesignPrediction>>& lists,
-              BoundTablesCache* cache = nullptr);
+              const std::vector<std::vector<bad::DesignPrediction>>& lists);
 
   /// True when no selection can integrate at all (e.g. a chip with no
   /// data pins left): the entire space may be skipped.

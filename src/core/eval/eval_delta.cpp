@@ -9,6 +9,7 @@ const char* EvalDelta::kind_name() const {
     case Kind::MoveOperation: return "move_operation";
     case Kind::MovePartitionToChip: return "move_partition_to_chip";
     case Kind::ReplaceChipPackage: return "replace_chip_package";
+    case Kind::SetMemoryPlacement: return "set_memory_placement";
     case Kind::SetClocking: return "set_clocking";
     case Kind::SetConstraints: return "set_constraints";
   }
@@ -36,6 +37,14 @@ EvalDelta EvalDelta::replace_chip_package(int chip, chip::ChipPackage package) {
   d.kind = Kind::ReplaceChipPackage;
   d.chip = chip;
   d.package = std::move(package);
+  return d;
+}
+
+EvalDelta EvalDelta::set_memory_placement(int block, int placement) {
+  EvalDelta d;
+  d.kind = Kind::SetMemoryPlacement;
+  d.block = block;
+  d.chip = placement;
   return d;
 }
 
@@ -67,6 +76,9 @@ void apply_delta(const EvalDelta& delta, Partitioning& pt,
       break;
     case EvalDelta::Kind::ReplaceChipPackage:
       pt.replace_chip_package(delta.chip, delta.package);
+      break;
+    case EvalDelta::Kind::SetMemoryPlacement:
+      pt.set_memory_placement(delta.block, delta.chip);
       break;
     case EvalDelta::Kind::SetClocking:
       delta.clocks.validate();

@@ -1,18 +1,19 @@
 // EvalDelta — a structured description of one §2.7 designer modification.
 //
 // The paper's interactive loop offers four modification groups: move an
-// operation between partitions, retarget a partition's chip (or swap the
-// chip's package/library), change the clock family, and tighten or loosen
-// the constraint budget. An EvalDelta names one such edit as data, so the
-// session can apply it, diff the evaluation-context fingerprints before
-// and after, and route the follow-up search through the incremental path:
-// per-partition prediction reuse, warm CandidateEvaluator shards (full-key
-// and constraint-independent core-key), and cached BoundTables columns.
+// operation between partitions, retarget a partition's chip (swap the
+// chip's package/library, or move a memory block), change the clock
+// family, and tighten or loosen the constraint budget. An EvalDelta names
+// one such edit as data, so the session can apply it, diff the
+// evaluation-context fingerprints before and after, and keep the follow-up
+// predict + search incremental: per-partition prediction reuse and warm
+// CandidateEvaluator shards (full-key and constraint-independent core-key).
 //
 // A DeltaImpact summarises what actually changed — the contract consumers
-// rely on: `noop` deltas must trigger zero re-search, `constraints_only`
-// deltas keep every IntegrationCore valid, and `dirty_partitions` names
-// the prediction lists that genuinely need a fresh BAD pass.
+// rely on: `noop` deltas keep the stored predictions valid, so re-predicting
+// reruns no BAD; `constraints_only` deltas keep every IntegrationCore
+// valid; and `dirty_partitions` names the prediction lists that genuinely
+// need a fresh BAD pass.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +32,7 @@ struct EvalDelta {
     MoveOperation,       ///< Move one op to another partition (§2.7 group 1).
     MovePartitionToChip, ///< Rebind a partition to another chip (group 2).
     ReplaceChipPackage,  ///< Swap a chip's package/library (group 2).
+    SetMemoryPlacement,  ///< Move a memory block to a chip (group 2).
     SetClocking,         ///< Replace the style + clock family (group 3).
     SetConstraints,      ///< Replace the constraint budget (group 4).
   };
@@ -44,7 +46,11 @@ struct EvalDelta {
   // MovePartitionToChip.
   int partition = -1;
 
-  // MovePartitionToChip / ReplaceChipPackage.
+  // SetMemoryPlacement.
+  int block = -1;
+
+  // MovePartitionToChip / ReplaceChipPackage / SetMemoryPlacement (where
+  // chip::kOffTheShelfChip puts the block off the shelf).
   int chip = -1;
   chip::ChipPackage package{};
 
@@ -60,6 +66,7 @@ struct EvalDelta {
   static EvalDelta move_operation(dfg::NodeId op, int to_partition);
   static EvalDelta move_partition_to_chip(int partition, int chip);
   static EvalDelta replace_chip_package(int chip, chip::ChipPackage package);
+  static EvalDelta set_memory_placement(int block, int placement);
   static EvalDelta set_clocking(bad::ArchitectureStyle style,
                                 bad::ClockSpec clocks);
   static EvalDelta set_constraints(DesignConstraints constraints);
@@ -70,7 +77,7 @@ struct DeltaImpact {
   std::uint64_t revision = 0;  ///< Session revision after the apply.
 
   /// Full-context fingerprint unchanged: the edit re-stated the current
-  /// state. Predictions stay valid and research() must not re-search.
+  /// state. The stored predictions stay valid.
   bool noop = false;
 
   /// Core fingerprint unchanged (but the full one moved): only the
@@ -79,8 +86,8 @@ struct DeltaImpact {
   bool constraints_only = false;
 
   /// Per-partition flag: the partition's prediction inputs (members, chip
-  /// package, clocks, or the pruning budget) changed, so its list — and
-  /// its bound-table column — must be recomputed.
+  /// package, clocks, or the pruning budget) changed, so its list must be
+  /// recomputed.
   std::vector<bool> dirty_partitions;
 
   std::uint64_t old_fingerprint = 0;
@@ -93,10 +100,10 @@ struct DeltaImpact {
   }
 };
 
-/// Applies `delta` to the loose session state. Mutation semantics match
-/// the long-standing Partitioning mutators / session setters exactly:
-/// the same validation, the same ordering of members after a move. Throws
-/// (via CHOP_REQUIRE) on invalid targets, like the mutators it wraps.
+/// Applies `delta` to the loose session state through the Partitioning
+/// mutators (same validation, same ordering of members after a move) or a
+/// validated config replacement. Throws (via CHOP_REQUIRE) on invalid
+/// targets, like the mutators it wraps.
 void apply_delta(const EvalDelta& delta, Partitioning& pt,
                  bad::ArchitectureStyle& style, bad::ClockSpec& clocks,
                  DesignConstraints& constraints);

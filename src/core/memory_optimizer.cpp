@@ -81,8 +81,8 @@ MemoryPlacementResult optimize_memory_placement(
     }
     // Install this placement.
     for (std::size_t b = 0; b < blocks; ++b) {
-      session.mutate_partitioning().set_memory_placement(
-          static_cast<int>(b), candidates[odo[b]]);
+      session.apply(EvalDelta::set_memory_placement(static_cast<int>(b),
+                                                    candidates[odo[b]]));
     }
     SearchResult search;
     const Score score = evaluate(session, options.search, search);
@@ -106,8 +106,8 @@ MemoryPlacementResult optimize_memory_placement(
 
   // Install and re-predict the winner so the session is consistent.
   for (std::size_t b = 0; b < blocks; ++b) {
-    session.mutate_partitioning().set_memory_placement(static_cast<int>(b),
-                                                       best_placement[b]);
+    session.apply(EvalDelta::set_memory_placement(static_cast<int>(b),
+                                                  best_placement[b]));
   }
   session.predict_partitions();
   result.placement = std::move(best_placement);

@@ -581,7 +581,7 @@ void merge_trial(SearchResult& out, TrialRecord record, TrialReporter& reporter,
   if (record.feasible) {
     ++out.feasible_raw;
     feasible.push_back(
-        GlobalDesign{std::move(record.choice), *record.result});
+        GlobalDesign{std::move(record.choice), *record.result, options.prune});
   }
 }
 
@@ -626,7 +626,7 @@ SearchResult search_enumeration(const EvalContext& ctx,
     obs::TraceSpan tables_span("search.bound_tables");
     {
       obs::ScopedPhase phase(profile, obs::SearchPhase::kBoundTables);
-      tables = std::make_unique<BoundTables>(ctx, lists, options.bound_cache);
+      tables = std::make_unique<BoundTables>(ctx, lists);
     }
     seed = seed_frontier(ctx, lists, evaluator, out, probe_counter, profile);
     tables_span.arg("partitions", lists.size());
@@ -897,7 +897,8 @@ SearchResult search_iterative(const EvalContext& ctx,
           original[p] = static_cast<std::size_t>(lists[p][w[p]] -
                                                  input_lists[p].data());
         }
-        feasible.push_back(GlobalDesign{std::move(original), *result});
+        feasible.push_back(
+            GlobalDesign{std::move(original), *result, options.prune});
         break;
       }
 

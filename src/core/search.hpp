@@ -41,7 +41,6 @@
 
 namespace chop::core {
 
-class BoundTablesCache;
 class CandidateEvaluator;
 class ThreadPool;
 
@@ -106,11 +105,6 @@ struct SearchOptions {
   /// sequence and recorder contents, shrink when subtrees are cut. The
   /// iterative heuristic ignores this.
   bool bound_pruning = true;
-  /// Session-owned memo for bound-table construction across §2.7
-  /// revisions (see BoundTablesCache in core/eval/bound_state.hpp). Not
-  /// owned; null (the default) — and an unarmed cache — leave the
-  /// construction byte-identical to the cacheless path.
-  BoundTablesCache* bound_cache = nullptr;
   /// Distributed-tracing context to run under: every span the search
   /// emits (including spans on pool worker threads) joins this trace as
   /// one connected tree. Inactive (the default) inherits whatever
@@ -137,6 +131,9 @@ struct PartitionPredictions {
 struct GlobalDesign {
   std::vector<std::size_t> choice;  ///< Index into the searched list, per partition.
   IntegrationResult integration;
+  /// The SearchOptions::prune of the search that found this design:
+  /// `choice` indexes the eligible lists when true, the raw lists when false.
+  bool prune = true;
 };
 
 /// Search outcome and statistics (the Tables 4/6 columns).

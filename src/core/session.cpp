@@ -7,19 +7,12 @@
 
 #include "core/eval/fingerprint.hpp"
 #include "obs/metrics.hpp"
-#include "obs/phase_profile.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
 
 namespace chop::core {
 
 namespace {
-
-/// Family tags folded into bound-cache column keys: the cache must never
-/// serve a column computed from the raw list to a search over the
-/// eligible list (options.prune picks the family uniformly).
-constexpr std::uint64_t kEligibleFamily = 0x454c4947u;  // "ELIG"
-constexpr std::uint64_t kRawFamily = 0x52415721u;       // "RAW!"
 
 Cycles max_ii_dp_for(const ChopConfig& config) {
   const Cycles max_ii_main = static_cast<Cycles>(
@@ -39,20 +32,11 @@ ChopSession::ChopSession(const lib::ComponentLibrary& library,
   config_.constraints.validate();
   config_.criteria.validate();
   partitioning_.validate();
-}
-
-void ChopSession::set_constraints(const DesignConstraints& constraints) {
-  constraints.validate();
-  config_.constraints = constraints;
-  predictions_valid_ = false;  // level-1 pruning depends on the budget
-}
-
-void ChopSession::set_clocking(const bad::ArchitectureStyle& style,
-                               const bad::ClockSpec& clocks) {
-  clocks.validate();
-  config_.style = style;
-  config_.clocks = clocks;
-  predictions_valid_ = false;  // every prediction depends on the clocks
+  // No delta changes the partition count, so the lists are sized once.
+  const std::size_t nparts = partitioning_.partitions().size();
+  predictions_.raw.resize(nparts);
+  predictions_.eligible.resize(nparts);
+  predict_cache_.resize(nparts);
 }
 
 std::uint64_t ChopSession::predict_env_key() const {
@@ -112,14 +96,6 @@ PredictionStats ChopSession::predict_partitions() {
 
   const auto& partitions = partitioning_.partitions();
   const auto& chips = partitioning_.chips();
-
-  if (predictions_.raw.size() != partitions.size() ||
-      predict_cache_.size() != partitions.size()) {
-    predictions_ = PartitionPredictions{};
-    predictions_.raw.resize(partitions.size());
-    predictions_.eligible.resize(partitions.size());
-    predict_cache_.assign(partitions.size(), PartitionPredictState{});
-  }
 
   // Cap pipelined II enumeration from the performance budget (§3.2).
   const Cycles max_ii_dp = max_ii_dp_for(config_);
@@ -197,7 +173,7 @@ DeltaImpact ChopSession::apply(const EvalDelta& delta) {
   static obs::Counter& applied =
       obs::MetricsRegistry::global().counter("eval.delta_applied");
 
-  const std::size_t old_nparts = partitioning_.partitions().size();
+  const std::size_t nparts = partitioning_.partitions().size();
   std::uint64_t old_full = 0;
   std::uint64_t old_core = 0;
   {
@@ -205,10 +181,10 @@ DeltaImpact ChopSession::apply(const EvalDelta& delta) {
     old_full = before.fingerprint();
     old_core = before.core_fingerprint();
   }
-  std::vector<std::uint64_t> old_keys(old_nparts);
+  std::vector<std::uint64_t> old_keys(nparts);
   {
     const std::uint64_t env = predict_env_key();
-    for (std::size_t p = 0; p < old_nparts; ++p) {
+    for (std::size_t p = 0; p < nparts; ++p) {
       old_keys[p] = eligible_key(p, raw_key(p, env));
     }
   }
@@ -228,103 +204,19 @@ DeltaImpact ChopSession::apply(const EvalDelta& delta) {
         !impact.noop && after.core_fingerprint() == old_core;
   }
 
-  const std::size_t nparts = partitioning_.partitions().size();
-  if (nparts != old_nparts) {
-    impact.dirty_partitions.assign(nparts, true);
-  } else {
-    impact.dirty_partitions.assign(nparts, false);
-    const std::uint64_t env = predict_env_key();
-    for (std::size_t p = 0; p < nparts; ++p) {
-      impact.dirty_partitions[p] =
-          eligible_key(p, raw_key(p, env)) != old_keys[p];
-    }
+  const std::uint64_t env = predict_env_key();
+  impact.dirty_partitions.resize(nparts);
+  for (std::size_t p = 0; p < nparts; ++p) {
+    impact.dirty_partitions[p] =
+        eligible_key(p, raw_key(p, env)) != old_keys[p];
   }
 
-  if (!impact.noop) {
-    predictions_valid_ = false;
-    last_result_valid_ = false;
-  }
+  if (!impact.noop) predictions_valid_ = false;
   applied.add();
   span.arg("noop", impact.noop ? 1 : 0);
   span.arg("constraints_only", impact.constraints_only ? 1 : 0);
   span.arg("dirty_partitions", impact.dirty_count());
   return impact;
-}
-
-SearchResult ChopSession::research(const SearchOptions& options) {
-  obs::TraceSpan span("session.research");
-  if (!predictions_valid_) {
-    obs::ScopedPhase predict_phase(options.profile, obs::SearchPhase::kPredict);
-    predict_partitions();
-  }
-  if (bound_cache_ == nullptr) {
-    bound_cache_ = std::make_unique<BoundTablesCache>();
-  }
-
-  // The context must outlive the search (it is passed by reference).
-  const EvalContext ctx = make_eval_context();
-
-  const std::size_t nparts = partitioning_.partitions().size();
-  const std::uint64_t env = predict_env_key();
-  std::vector<std::uint64_t> raw_keys(nparts);
-  std::vector<std::uint64_t> eligible_keys(nparts);
-  for (std::size_t p = 0; p < nparts; ++p) {
-    raw_keys[p] = raw_key(p, env);
-    eligible_keys[p] = eligible_key(p, raw_keys[p]);
-  }
-
-  // One-deep result memo, content-keyed: the context fingerprint covers
-  // the integration inputs, the list keys cover the searched lists, and
-  // the option fields below are exactly the ones a deterministic search
-  // depends on (threads is deliberately excluded — results are identical
-  // across thread counts; observer/cancel/deadline disqualify caching
-  // outright because the caller observes the run itself).
-  Fnv1a rk;
-  rk.mix(ctx.fingerprint());
-  rk.mix(static_cast<int>(options.heuristic));
-  rk.mix(options.prune ? 1 : 0);
-  rk.mix(options.record_all ? 1 : 0);
-  rk.mix(static_cast<std::uint64_t>(options.max_trials));
-  rk.mix(options.bound_pruning ? 1 : 0);
-  for (std::size_t p = 0; p < nparts; ++p) {
-    rk.mix(raw_keys[p]);
-    rk.mix(eligible_keys[p]);
-  }
-  const std::uint64_t result_key = rk.digest();
-  const bool cache_eligible =
-      options.cancel == nullptr &&
-      options.deadline == std::chrono::steady_clock::time_point{} &&
-      options.observer == nullptr;
-
-  static obs::Counter& noop_counter =
-      obs::MetricsRegistry::global().counter("eval.delta_noop_research");
-  if (cache_eligible && last_result_valid_ && last_result_key_ == result_key) {
-    noop_counter.add();
-    span.arg("cached", 1);
-    return last_result_;
-  }
-
-  SearchOptions opts = options;
-  if (opts.evaluator == nullptr) opts.evaluator = evaluator_.get();
-  if (opts.bound_cache == nullptr) {
-    std::vector<std::uint64_t> column_keys(nparts);
-    for (std::size_t p = 0; p < nparts; ++p) {
-      Fnv1a ch;
-      ch.mix(opts.prune ? kEligibleFamily : kRawFamily);
-      ch.mix(opts.prune ? eligible_keys[p] : raw_keys[p]);
-      column_keys[p] = ch.digest();
-    }
-    bound_cache_->prepare(ctx.core_fingerprint(), std::move(column_keys));
-    opts.bound_cache = bound_cache_.get();
-  }
-
-  SearchResult result = find_feasible_implementations(ctx, predictions_, opts);
-  if (cache_eligible && !result.cancelled) {
-    last_result_ = result;
-    last_result_key_ = result_key;
-    last_result_valid_ = true;
-  }
-  return result;
 }
 
 std::vector<DataTransfer> ChopSession::transfer_tasks() const {
@@ -360,10 +252,8 @@ std::string ChopSession::guideline(const GlobalDesign& design) const {
      << " cycles, delay=" << design.integration.system_delay_main
      << " cycles, clock=" << design.integration.clock_ns() << " ns\n";
   for (std::size_t p = 0; p < partitions.size(); ++p) {
-    // Guidelines are rendered from the list the search consumed.
-    const auto& list = predictions_.eligible[p].empty()
-                           ? predictions_.raw[p]
-                           : predictions_.eligible[p];
+    const auto& list =
+        design.prune ? predictions_.eligible[p] : predictions_.raw[p];
     CHOP_REQUIRE(design.choice[p] < list.size(),
                  "design choice index out of range");
     const bad::DesignPrediction& sel = list[design.choice[p]];

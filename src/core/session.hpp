@@ -3,18 +3,13 @@
 // BAD per partition (with level-1 pruning), search for feasible global
 // implementations, inspect the guideline output, modify, repeat.
 //
-// Two ways to drive the modify half of the loop:
-//  * the legacy setters (mutate_partitioning / set_constraints /
-//    set_clocking) followed by predict_partitions() + search(), and
-//  * the revisioned incremental pipeline: apply(EvalDelta) + research().
-//    apply() patches the session state through a structured §2.7 delta
-//    and reports which partitions it dirtied; research() then re-runs
-//    only the invalidated work — per-partition prediction reuse, the
-//    session evaluator's two-level memo, and a BoundTablesCache that
-//    rebuilds only dirty bound columns — while returning a result
-//    byte-identical to a cold predict+search of the same state (the
-//    equality oracle in chop_fuzz and tests/eval_delta_test enforce
-//    this).
+// One drive path: apply(EvalDelta) is the only mutator, the §2.7 edit as
+// data. It reports which partitions it dirtied, and predict_partitions()
+// then re-runs BAD only for those (every partition whose inputs are
+// unchanged keeps its lists). search() runs over the stored lists on the
+// session's memoizing evaluator. The result is byte-identical to a cold
+// session's predict+search of the same state (the incremental_research
+// oracle in chop_fuzz and tests/eval_delta_test enforce this).
 #pragma once
 
 #include <cstdint>
@@ -24,7 +19,6 @@
 #include <vector>
 
 #include "bad/predictor.hpp"
-#include "core/eval/bound_state.hpp"
 #include "core/eval/candidate_evaluator.hpp"
 #include "core/eval/eval_delta.hpp"
 #include "core/partitioning.hpp"
@@ -64,23 +58,7 @@ class ChopSession {
 
   const Partitioning& partitioning() const { return partitioning_; }
 
-  /// Mutable access for applying §2.7 modifications; invalidates any
-  /// stored predictions so a stale search cannot follow a structural edit.
-  Partitioning& mutate_partitioning() {
-    predictions_valid_ = false;
-    return partitioning_;
-  }
-
   const ChopConfig& config() const { return config_; }
-
-  /// Replaces the constraint budget (a §2.7 "Constraints" modification).
-  void set_constraints(const DesignConstraints& constraints);
-
-  /// Replaces the architecture style and clock family (§2.2 input group 6
-  /// — "the clock cycle is an input to the system"). Invalidates stored
-  /// predictions.
-  void set_clocking(const bad::ArchitectureStyle& style,
-                    const bad::ClockSpec& clocks);
 
   /// Monotone revision counter: 0 at construction, bumped by every
   /// apply() — including no-op deltas, so a revision id names an apply
@@ -90,25 +68,17 @@ class ChopSession {
   /// Applies one structured §2.7 modification and reports its impact:
   /// which partitions now need fresh predictions, whether the delta was a
   /// no-op (state fingerprint unchanged), and whether it only moved the
-  /// constraint budget (integration cores stay reusable). A no-op keeps
-  /// every cached artifact valid, so the following research() does zero
-  /// new work. Throws chop::Error (strong guarantee on config, but the
-  /// partitioning may have been patched) if the delta is invalid against
-  /// the current state.
+  /// constraint budget (integration cores stay reusable). Any other delta
+  /// invalidates the stored predictions, so search() throws until
+  /// predict_partitions() runs again; a no-op keeps them valid. Throws
+  /// chop::Error (strong guarantee on config, but the partitioning may
+  /// have been patched) if the delta is invalid against the current state.
   DeltaImpact apply(const EvalDelta& delta);
 
-  /// The incremental counterpart of predict_partitions() + search():
-  /// refreshes predictions if needed (reusing every partition whose
-  /// inputs are unchanged), arms the session's bound-table cache, and
-  /// runs the search on the session evaluator. The returned result is
-  /// byte-identical to a cold session's predict+search of the same state.
-  /// Plain repeated calls with unchanged state and equivalent options are
-  /// answered from a one-deep result cache (skipped when options carry an
-  /// observer, cancel flag, or deadline).
-  SearchResult research(const SearchOptions& options);
-
-  /// Runs BAD on every partition and applies level-1 pruning. Stores the
-  /// lists for subsequent search() calls and returns the Table-3/5 stats.
+  /// Runs BAD on every partition whose prediction inputs changed since the
+  /// last pass (all of them on the first) and applies level-1 pruning.
+  /// Stores the lists for subsequent search() calls and returns the
+  /// Table-3/5 stats.
   PredictionStats predict_partitions();
 
   /// Per-partition prediction lists from the last predict_partitions().
@@ -130,13 +100,14 @@ class ChopSession {
   CandidateEvaluator& evaluator() const { return *evaluator_; }
 
   /// Runs a search over the stored predictions. predict_partitions() must
-  /// have been called since the last structural modification. When
+  /// have been called since the last apply() that was not a no-op. When
   /// options.evaluator is null the session's own evaluator is used.
   SearchResult search(const SearchOptions& options) const;
 
   /// Renders the designer guideline for one feasible design (the §3.1
   /// bullet-list output: per-partition style, module library, allocation,
-  /// registers, muxes, plus per-transfer-module predictions).
+  /// registers, muxes, plus per-transfer-module predictions). The design
+  /// is read from the list family its search indexed (GlobalDesign::prune).
   std::string guideline(const GlobalDesign& design) const;
 
  private:
@@ -164,14 +135,6 @@ class ChopSession {
   bool predictions_valid_ = false;
   std::uint64_t revision_ = 0;
   std::vector<PartitionPredictState> predict_cache_;
-  /// Bound-table memo armed by research() before each search; behind a
-  /// pointer for the same movability reason as evaluator_.
-  std::unique_ptr<BoundTablesCache> bound_cache_;
-  /// One-deep research() result cache, content-keyed on the evaluation
-  /// context, the prediction-list keys, and the deterministic options.
-  bool last_result_valid_ = false;
-  std::uint64_t last_result_key_ = 0;
-  SearchResult last_result_;
   /// Session-lifetime memo cache for integrate(); behind a pointer so the
   /// session stays movable (the cache holds mutexes), mutable because
   /// caching is invisible to the session's logical state (search() stays

@@ -32,7 +32,7 @@ enum class SearchPhase : std::size_t {
   kMerge,            ///< In-order merging of per-unit results.
   kFrontierSync,     ///< Always 0; kept so benchmark reports keep the key.
   kCacheWait,        ///< Blocked acquiring an evaluator cache shard lock.
-  kPredict,          ///< Per-partition BAD prediction (research, served jobs).
+  kPredict,          ///< A served job's predict_partitions() call.
   kRender,           ///< Serve-side result JSON rendering.
   kGenCoarsen,       ///< Partition generation: heavy-edge coarsening.
   kGenInitial,       ///< Partition generation: coarsest-level seed cuts.

@@ -412,10 +412,11 @@ ScenarioReport run_oracles(const io::Project& project,
     }
 
     // --- Oracle: incremental research vs cold --------------------------
-    // apply(delta) + research() on a warm session must be byte-identical
-    // (through the serve rendering, trials included) to a cold session
-    // built directly at the patched state, and re-stating the same delta
-    // must report a no-op impact. The delta kind is picked from a content
+    // apply(delta) → predict_partitions() → search() on a warm session
+    // (after a base predict + search) must be byte-identical (through the
+    // serve rendering, trials included) to a cold session built directly
+    // at the patched state, and re-stating the same delta must report a
+    // no-op impact. The delta kind is picked from a content
     // hash of the spec so the corpus covers every §2.7 group over time.
     {
       std::uint64_t h = 1469598103934665603ull;
@@ -474,9 +475,10 @@ ScenarioReport run_oracles(const io::Project& project,
         ChopSession warm = project.make_session();
         warm.predict_partitions();
         const SearchOptions opt;
-        (void)warm.research(opt);
+        (void)warm.search(opt);
         warm.apply(delta);
-        const SearchResult incremental = warm.research(opt);
+        warm.predict_partitions();
+        const SearchResult incremental = warm.search(opt);
         if (!warm.apply(delta).noop) {
           report.failures.push_back(
               {"incremental_research",

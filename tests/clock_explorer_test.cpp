@@ -107,7 +107,8 @@ TEST(ClockExplorer, RejectsEmptyCandidateList) {
 
 TEST(ClockExplorer, InfeasibleSweepReportsNoBest) {
   ChopSession session = ar_session();
-  session.set_constraints({10.0, 10.0});  // nothing meets 10 ns
+  // Nothing meets 10 ns.
+  session.apply(EvalDelta::set_constraints({10.0, 10.0}));
   const ClockExplorationResult r =
       explore_clocks(session, default_clock_candidates(300.0));
   EXPECT_EQ(r.best(), nullptr);
@@ -119,7 +120,7 @@ TEST(Session, SetClockingInvalidatesPredictions) {
   session.predict_partitions();
   bad::ArchitectureStyle style;
   style.clocking = bad::ClockingStyle::MultiCycle;
-  session.set_clocking(style, {300.0, 1, 1});
+  session.apply(EvalDelta::set_clocking(style, {300.0, 1, 1}));
   EXPECT_THROW(session.search({}), Error);
   session.predict_partitions();
   EXPECT_NO_THROW(session.search({}));

@@ -1,7 +1,8 @@
 // Tests for the incremental evaluation pipeline: EvalDelta application,
 // DeltaImpact classification, revision tracking, and the contract that
-// apply()+research() is byte-identical (through the serve rendering,
-// counters included) to a cold session built at the same state.
+// apply() → predict_partitions() → search() is byte-identical (through the
+// serve rendering, counters included) to a cold session built at the same
+// state.
 #include "core/eval/eval_delta.hpp"
 
 #include <gtest/gtest.h>
@@ -49,6 +50,31 @@ ChopSession make_session(int nparts,
   return ChopSession(library(), std::move(pt), config);
 }
 
+/// The AR filter with two memory blocks, both off the shelf, on two chips.
+ChopSession make_memory_session() {
+  static const dfg::BenchmarkGraph arm = dfg::ar_lattice_filter_with_memory();
+  chip::MemorySubsystem memory;
+  memory.blocks.push_back({"coeff", 16, 64, 1, 300.0, 4000.0, 3});
+  memory.blocks.push_back({"spill", 16, 256, 1, 300.0, 6000.0, 3});
+  memory.chip_of_block = {chip::kOffTheShelfChip, chip::kOffTheShelfChip};
+  Partitioning pt(arm.graph,
+                  {{"c0", chip::mosis_package_84()},
+                   {"c1", chip::mosis_package_84()}},
+                  memory);
+  pt.add_partition("P1", arm.layer_span(0, 3), 0);
+  pt.add_partition("P2", arm.layer_span(4, arm.layers.size() - 1), 1);
+  ChopConfig config;
+  config.style.clocking = bad::ClockingStyle::SingleCycle;
+  config.clocks = {300.0, 10, 1};
+  config.constraints = {30000.0, 60000.0};
+  return ChopSession(library(), std::move(pt), config);
+}
+
+SearchResult predict_and_search(ChopSession& s, const SearchOptions& opt) {
+  s.predict_partitions();
+  return s.search(opt);
+}
+
 std::string rendered(const SearchResult& r) {
   return serve::render_search_result(r).dump();
 }
@@ -82,9 +108,8 @@ dfg::NodeId find_movable(const Partitioning& pt, int* dest_out) {
 
 TEST(EvalDelta, NoopDeltaReportsNoopAndSkipsAllWork) {
   ChopSession s = make_session(2);
-  s.predict_partitions();
   const SearchOptions opt;
-  const SearchResult base = s.research(opt);
+  const SearchResult base = predict_and_search(s, opt);
 
   // Re-stating the current constraints changes no fingerprint.
   const DeltaImpact impact =
@@ -94,11 +119,12 @@ TEST(EvalDelta, NoopDeltaReportsNoopAndSkipsAllWork) {
   EXPECT_EQ(impact.old_fingerprint, impact.new_fingerprint);
 
   const std::uint64_t attempts = counter("integration.attempts");
-  const std::uint64_t noops = counter("eval.delta_noop_research");
-  const SearchResult again = s.research(opt);
+  const std::uint64_t recomputed = counter("eval.delta_predict_recomputed");
+  const SearchResult again = predict_and_search(s, opt);
   EXPECT_EQ(counter("integration.attempts"), attempts)
-      << "a no-op research must not integrate anything";
-  EXPECT_EQ(counter("eval.delta_noop_research"), noops + 1);
+      << "a no-op revision must not integrate anything";
+  EXPECT_EQ(counter("eval.delta_predict_recomputed"), recomputed)
+      << "a no-op revision must not re-run BAD";
   EXPECT_EQ(rendered(base), rendered(again));
 }
 
@@ -136,6 +162,17 @@ TEST(EvalDelta, MoveDirtiesOnlyTheTouchedPartitions) {
       << "a migration touches exactly source and destination";
 }
 
+TEST(EvalDelta, MemoryMoveDirtiesNoPredictionList) {
+  ChopSession s = make_memory_session();
+  const DeltaImpact impact = s.apply(EvalDelta::set_memory_placement(0, 0));
+  EXPECT_FALSE(impact.noop);
+  ASSERT_EQ(impact.dirty_partitions.size(), 2u);
+  EXPECT_EQ(impact.dirty_count(), 0u)
+      << "BAD never reads where a memory block sits";
+  EXPECT_NE(impact.old_fingerprint, impact.new_fingerprint);
+  EXPECT_EQ(s.partitioning().memory().placement(0), 0);
+}
+
 TEST(EvalDelta, RevisionsIncreaseMonotonically) {
   ChopSession s = make_session(2);
   EXPECT_EQ(s.revision(), 0u);
@@ -165,10 +202,14 @@ TEST(EvalDelta, EachDeltaKindMatchesColdResearch) {
   struct Case {
     std::string name;
     EvalDelta delta;
+    bool memory = false;  ///< Run on make_memory_session().
   };
   ChopSession probe = make_session(2);
   DesignConstraints tighter = probe.config().constraints;
   tighter.performance_ns = 27000.0;
+  // A delay-only tighten keeps the raw lists and re-prunes them.
+  DesignConstraints tighter_delay = probe.config().constraints;
+  tighter_delay.delay_ns = 9000.0;
   bad::ClockSpec slower = probe.config().clocks;
   slower.main_clock = 330.0;
   const std::vector<Case> cases = {
@@ -176,16 +217,20 @@ TEST(EvalDelta, EachDeltaKindMatchesColdResearch) {
        EvalDelta::replace_chip_package(0, chip::mosis_package_64())},
       {"set_clocking", EvalDelta::set_clocking(probe.config().style, slower)},
       {"set_constraints", EvalDelta::set_constraints(tighter)},
+      {"set_delay", EvalDelta::set_constraints(tighter_delay)},
+      {"set_memory_placement", EvalDelta::set_memory_placement(0, 0), true},
   };
   for (const Case& c : cases) {
-    ChopSession warm = make_session(2);
-    warm.predict_partitions();
+    const auto fresh = [&c] {
+      return c.memory ? make_memory_session() : make_session(2);
+    };
+    ChopSession warm = fresh();
     const SearchOptions opt;
-    (void)warm.research(opt);
+    (void)predict_and_search(warm, opt);
     warm.apply(c.delta);
-    const SearchResult incremental = warm.research(opt);
+    const SearchResult incremental = predict_and_search(warm, opt);
 
-    ChopSession cold = make_session(2);
+    ChopSession cold = fresh();
     cold.apply(c.delta);
     cold.predict_partitions();
     const SearchResult reference = cold.search(opt);
@@ -195,9 +240,8 @@ TEST(EvalDelta, EachDeltaKindMatchesColdResearch) {
 
 TEST(EvalDelta, StackedDeltasAcrossRevisionsMatchCold) {
   ChopSession warm = make_session(2);
-  warm.predict_partitions();
   const SearchOptions opt;
-  (void)warm.research(opt);
+  (void)predict_and_search(warm, opt);
 
   DesignConstraints tighter = warm.config().constraints;
   tighter.performance_ns = 27000.0;
@@ -206,9 +250,9 @@ TEST(EvalDelta, StackedDeltasAcrossRevisionsMatchCold) {
       EvalDelta::replace_chip_package(0, chip::mosis_package_64());
 
   warm.apply(first);
-  (void)warm.research(opt);
+  (void)predict_and_search(warm, opt);
   warm.apply(second);
-  const SearchResult incremental = warm.research(opt);
+  const SearchResult incremental = predict_and_search(warm, opt);
   EXPECT_EQ(warm.revision(), 2u);
 
   ChopSession cold = make_session(2);
@@ -221,18 +265,17 @@ TEST(EvalDelta, StackedDeltasAcrossRevisionsMatchCold) {
 
 TEST(EvalDelta, RoundTripRestoresTheBaseResult) {
   ChopSession s = make_session(2);
-  s.predict_partitions();
   const SearchOptions opt;
-  const SearchResult base = s.research(opt);
+  const SearchResult base = predict_and_search(s, opt);
 
   DesignConstraints tighter = s.config().constraints;
   tighter.performance_ns = 27000.0;
   s.apply(EvalDelta::set_constraints(tighter));
-  (void)s.research(opt);
+  (void)predict_and_search(s, opt);
   s.apply(EvalDelta::set_constraints({30000.0, 30000.0}));
 
   const std::uint64_t attempts = counter("integration.attempts");
-  const SearchResult restored = s.research(opt);
+  const SearchResult restored = predict_and_search(s, opt);
   EXPECT_EQ(rendered(base), rendered(restored));
   EXPECT_EQ(counter("integration.attempts"), attempts)
       << "reverting to an already-evaluated state must hit the caches";
@@ -242,9 +285,8 @@ TEST(EvalDelta, RoundTripRestoresTheBaseResult) {
 
 TEST(EvalDelta, ConstraintsOnlyDeltaReusesRawPredictions) {
   ChopSession s = make_session(2);
-  s.predict_partitions();
   const SearchOptions opt;
-  (void)s.research(opt);
+  (void)predict_and_search(s, opt);
 
   // Tighten the delay budget, not performance: the performance budget
   // feeds the pipelined-II enumeration cap, so tightening it legitimately
@@ -254,7 +296,7 @@ TEST(EvalDelta, ConstraintsOnlyDeltaReusesRawPredictions) {
   s.apply(EvalDelta::set_constraints(tighter));
   const std::uint64_t reused = counter("eval.delta_predict_reused");
   const std::uint64_t core_hits = counter("eval.delta_core_hits");
-  (void)s.research(opt);
+  (void)predict_and_search(s, opt);
   EXPECT_EQ(counter("eval.delta_predict_reused"), reused + 2)
       << "a delay budget change must not re-run BAD";
   EXPECT_GT(counter("eval.delta_core_hits"), core_hits)
@@ -264,40 +306,16 @@ TEST(EvalDelta, ConstraintsOnlyDeltaReusesRawPredictions) {
 
 TEST(EvalDelta, ClockDeltaRecomputesEveryPrediction) {
   ChopSession s = make_session(2);
-  s.predict_partitions();
   const SearchOptions opt;
-  (void)s.research(opt);
+  (void)predict_and_search(s, opt);
 
   bad::ClockSpec slower = s.config().clocks;
   slower.main_clock = 330.0;
   s.apply(EvalDelta::set_clocking(s.config().style, slower));
   const std::uint64_t recomputed = counter("eval.delta_predict_recomputed");
-  (void)s.research(opt);
+  (void)predict_and_search(s, opt);
   EXPECT_EQ(counter("eval.delta_predict_recomputed"), recomputed + 2)
       << "an all-dirty delta degenerates to the cold prediction path";
-}
-
-TEST(EvalDelta, BoundColumnsReusedWhenRevisited) {
-  ChopSession s = make_session(2);
-  s.predict_partitions();
-  const SearchOptions opt;
-  (void)s.research(opt);
-
-  DesignConstraints tighter = s.config().constraints;
-  tighter.performance_ns = 27000.0;
-  s.apply(EvalDelta::set_constraints(tighter));
-  (void)s.research(opt);
-  s.apply(EvalDelta::set_constraints({30000.0, 30000.0}));
-  // Back at the base state: its bound-table columns are still memoized
-  // (research at base ran before), so nothing needs rebuilding — but the
-  // round trip is served from the result cache without touching tables at
-  // all. Re-ask at the tightened state after evicting the result key by
-  // toggling once more: columns for that state were built above.
-  const std::uint64_t reused = counter("eval.delta_bound_cols_reused");
-  (void)s.research(opt);
-  s.apply(EvalDelta::set_constraints(tighter));
-  (void)s.research(opt);
-  EXPECT_GE(counter("eval.delta_bound_cols_reused"), reused);
 }
 
 // ---- the core/verdict split ----

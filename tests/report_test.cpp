@@ -64,7 +64,7 @@ TEST(Report, MemoryTableRendered) {
 
 TEST(Report, InfeasibleSessionSaysSo) {
   core::ChopSession session = ar_session();
-  session.set_constraints({100.0, 100.0});
+  session.apply(core::EvalDelta::set_constraints({100.0, 100.0}));
   const core::PredictionStats stats = session.predict_partitions();
   const core::SearchResult result = session.search({});
   const std::string report = render_report_string(session, stats, result);

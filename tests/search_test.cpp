@@ -201,7 +201,7 @@ TEST(Search, MaxTrialsTruncates) {
 
 TEST(Search, EmptyEligibleListMeansNoDesigns) {
   ChopSession session = exp1_session(1);
-  session.set_constraints({1.0, 1.0});  // nothing can meet 1 ns
+  session.apply(EvalDelta::set_constraints({1.0, 1.0}));  // nothing meets 1 ns
   session.predict_partitions();
   for (Heuristic h : {Heuristic::Enumeration, Heuristic::Iterative}) {
     SearchOptions opt;

@@ -2,6 +2,9 @@
 // feedback) and remaining session facade edge cases.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "chip/mosis_packages.hpp"
 #include "core/session.hpp"
 #include "dfg/benchmarks.hpp"
@@ -82,7 +85,8 @@ TEST(Guideline, RejectsForeignDesign) {
 
 TEST(Guideline, EveryNonInferiorDesignRenders) {
   ChopSession session = two_chip_session();
-  session.set_constraints({60000.0, 60000.0});  // admit more designs
+  // Looser budgets admit more designs.
+  session.apply(EvalDelta::set_constraints({60000.0, 60000.0}));
   session.predict_partitions();
   SearchOptions options;
   options.heuristic = Heuristic::Enumeration;
@@ -92,10 +96,32 @@ TEST(Guideline, EveryNonInferiorDesignRenders) {
   }
 }
 
+TEST(Guideline, KeepAllDesignRendersFromRawLists) {
+  // A prune=false search indexes BAD's raw lists, not the eligible ones.
+  ChopSession session = two_chip_session();
+  session.predict_partitions();
+  SearchOptions options;
+  options.prune = false;
+  const SearchResult r = session.search(options);
+  ASSERT_FALSE(r.designs.empty());
+  const auto& raw = session.predictions().raw;
+  for (const GlobalDesign& d : r.designs) {
+    const std::string g = session.guideline(d);
+    for (std::size_t p = 0; p < raw.size(); ++p) {
+      const bad::DesignPrediction& sel = raw[p][d.choice[p]];
+      std::ostringstream area;
+      area << "predicted area " << sel.total_area << " mil^2.";
+      EXPECT_NE(g.find("module library of " + sel.module_set_label + ","),
+                std::string::npos);
+      EXPECT_NE(g.find(area.str()), std::string::npos) << area.str();
+    }
+  }
+}
+
 TEST(Session, MutatePartitioningInvalidatesPredictions) {
   ChopSession session = two_chip_session();
   session.predict_partitions();
-  session.mutate_partitioning().move_partition_to_chip(1, 0);
+  session.apply(EvalDelta::move_partition_to_chip(1, 0));
   EXPECT_THROW(session.search({}), Error);
   session.predict_partitions();
   EXPECT_NO_THROW(session.search({}));

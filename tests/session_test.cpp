@@ -171,7 +171,7 @@ TEST(Session, GuidelineRendersSection31Style) {
 TEST(Session, ConstraintChangeInvalidatesPredictions) {
   ChopSession s = make_session(1, bad::ClockingStyle::SingleCycle);
   s.predict_partitions();
-  s.set_constraints({40000.0, 40000.0});
+  s.apply(EvalDelta::set_constraints({40000.0, 40000.0}));
   EXPECT_THROW(s.search(SearchOptions{}), Error);  // must re-predict
   s.predict_partitions();
   EXPECT_NO_THROW(s.search(SearchOptions{}));
@@ -181,7 +181,7 @@ TEST(Session, LooserConstraintsNeverShrinkEligibleSet) {
   ChopSession tight = make_session(1, bad::ClockingStyle::SingleCycle);
   const PredictionStats t = tight.predict_partitions();
   ChopSession loose = make_session(1, bad::ClockingStyle::SingleCycle);
-  loose.set_constraints({60000.0, 60000.0});
+  loose.apply(EvalDelta::set_constraints({60000.0, 60000.0}));
   const PredictionStats l = loose.predict_partitions();
   EXPECT_GE(l.feasible, t.feasible);
   // The raw total may grow too: a looser performance budget widens the
