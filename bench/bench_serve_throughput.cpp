@@ -1,10 +1,8 @@
 // Serving-layer throughput: jobs/second and queue-wait / end-to-end
 // latency percentiles for a ChopServer running the paper's experiment-1
-// AR-filter project, swept over worker-pool sizes (1/4/8) with the
-// cross-request evaluation cache on and off. The cache-on rows show the
-// serving win the EvaluatorPool exists for: every job after the first
-// hits a warm integration cache, so added workers buy almost linear
-// throughput instead of recomputing identical schedules.
+// AR-filter project, swept over worker-pool sizes (1/4/8). Every job
+// searches on its own session's evaluator, so each starts with a cold
+// integration cache (hence the `_cold` scoreboard keys).
 //
 // Writes bench_serve_throughput.metrics.json (ScopedMetricsDump) with the
 // serve.* counter/histogram evidence next to the printed numbers, and
@@ -63,7 +61,6 @@ double percentile(std::vector<double> values, double p) {
 /// wait for every result. Latency samples accumulate across iterations.
 void BM_ServeThroughput(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
-  const bool share = state.range(1) != 0;
   constexpr int kJobs = 32;
   const io::Project project = ar_project(2);
   serve::JobOptions job;
@@ -74,7 +71,6 @@ void BM_ServeThroughput(benchmark::State& state) {
   obs::QuantileSketch queue_wait_sketch;
   obs::QuantileSketch e2e_sketch;
   obs::PhaseProfileData last_profile;
-  std::uint64_t cache_hits = 0;
   double batch_ms = 0.0;
   std::uint64_t batch_jobs = 0;
   for (auto _ : state) {
@@ -82,7 +78,6 @@ void BM_ServeThroughput(benchmark::State& state) {
     serve::ServerOptions options;
     options.workers = workers;
     options.queue_capacity = kJobs;
-    options.share_evaluators = share;
     serve::ChopServer server(options);
     std::vector<std::string> ids;
     ids.reserve(kJobs);
@@ -100,7 +95,6 @@ void BM_ServeThroughput(benchmark::State& state) {
       queue_wait_sketch.add(view.queue_wait_ms);
       e2e_sketch.add(view.queue_wait_ms + view.run_ms);
     }
-    cache_hits = server.stats().eval_cache.hits;
     last_profile = server.total_profile();
     server.shutdown(true);
     batch_ms += batch_timer.elapsed_ms();
@@ -118,8 +112,6 @@ void BM_ServeThroughput(benchmark::State& state) {
   state.counters["e2e_p50_ms"] = benchmark::Counter(percentile(e2e_ms, 0.50));
   state.counters["e2e_p95_ms"] = benchmark::Counter(percentile(e2e_ms, 0.95));
   state.counters["e2e_p99_ms"] = benchmark::Counter(e2e_sketch.quantile(0.99));
-  state.counters["cache_hits_last_batch"] =
-      benchmark::Counter(static_cast<double>(cache_hits));
 
   // Scoreboard entry: one BENCH_serve.json key per configuration, so
   // successive runs build a throughput/latency trajectory per config.
@@ -128,7 +120,6 @@ void BM_ServeThroughput(benchmark::State& state) {
                      : 0.0;
   std::ostringstream json;
   json << "{\n    \"workers\": " << workers
-       << ", \"shared_cache\": " << (share ? "true" : "false")
        << ", \"jobs\": " << batch_jobs
        << ",\n    \"jobs_per_sec\": " << jobs_per_sec
        << ",\n    \"queue_wait_ms\": {\"p50\": "
@@ -138,15 +129,15 @@ void BM_ServeThroughput(benchmark::State& state) {
        << ",\n    \"e2e_ms\": {\"p50\": " << e2e_sketch.quantile(0.50)
        << ", \"p99\": " << e2e_sketch.quantile(0.99)
        << ", \"p999\": " << e2e_sketch.quantile(0.999) << "}"
-       << ",\n    \"cache_hits_last_batch\": " << cache_hits
        << ",\n    \"profile\": " << last_profile.to_json() << "\n  }";
-  update_bench_search_json("serve_w" + std::to_string(workers) +
-                               (share ? "_shared" : "_cold"),
+  update_bench_search_json("serve_w" + std::to_string(workers) + "_cold",
                            json.str(), "BENCH_serve.json");
 }
 BENCHMARK(BM_ServeThroughput)
-    ->ArgsProduct({{1, 4, 8}, {0, 1}})
-    ->ArgNames({"workers", "shared_cache"})
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(8)
+    ->ArgName("workers")
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

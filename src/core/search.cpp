@@ -956,10 +956,6 @@ SearchResult find_feasible_implementations(const EvalContext& ctx,
                                            const PartitionPredictions& pred,
                                            const SearchOptions& options) {
   const bool enumeration = options.heuristic == Heuristic::Enumeration;
-  // An explicit trace context (serve hands the job's) makes this search's
-  // spans — including pool-thread chunks — one connected tree; inactive
-  // contexts inherit whatever the calling thread already runs under.
-  obs::TraceContextScope trace_scope(options.trace);
   obs::TraceSpan span(enumeration ? "search.enumeration" : "search.iterative");
   CHOP_REQUIRE(options.threads >= 1, "search needs at least one thread");
   if (options.profile != nullptr) options.profile->add_search();

@@ -37,7 +37,6 @@
 #include "core/recorder.hpp"
 #include "obs/observer.hpp"
 #include "obs/phase_profile.hpp"
-#include "obs/trace.hpp"
 
 namespace chop::core {
 
@@ -105,12 +104,6 @@ struct SearchOptions {
   /// sequence and recorder contents, shrink when subtrees are cut. The
   /// iterative heuristic ignores this.
   bool bound_pruning = true;
-  /// Distributed-tracing context to run under: every span the search
-  /// emits (including spans on pool worker threads) joins this trace as
-  /// one connected tree. Inactive (the default) inherits whatever
-  /// context the calling thread already has — serve installs the job's
-  /// context around the whole search instead of setting this.
-  obs::TraceContext trace{};
   /// Per-phase wall-clock attribution (bound tables, seed probes, leaf
   /// evals, merge, cache wait). Not owned; null (the default) disables
   /// the phase timers entirely — not even a clock read on the hot path.

@@ -716,19 +716,6 @@ GenerateResult generate_partitions(const dfg::Graph& spec,
   sort_frontier(result.frontier);
   frontier_counter.add(result.frontier.size());
 
-  // Authoritative final pass over the winning cut through the shared
-  // evaluator: every integration it needs was just computed by the
-  // winning start, so this is also where cross-start cache reuse shows up
-  // as guaranteed eval.cache_hits.
-  if (!result.cancelled) {
-    if (auto session = make_session(ctx, result.members)) {
-      session->predict_partitions();
-      result.search = session->search(ctx.search);
-      ++result.evaluations;
-      evaluations_counter.add();
-    }
-  }
-
   result.log.push_back("final: " + best_score.describe() + ", frontier " +
                        std::to_string(result.frontier.size()) + " points");
   span.arg("starts", result.starts_run);

@@ -10,7 +10,6 @@ Bits register_demand(const dfg::Graph& g, std::span<const Cycles> latency,
                "latency vector size must match node count");
   CHOP_REQUIRE(schedule.start.size() == g.node_count(),
                "schedule does not belong to this graph");
-  const Cycles length = std::max<Cycles>(schedule.length, 1);
   const Cycles ii = std::max<Cycles>(schedule.initiation_interval, 1);
 
   // Alive interval [birth, death) per value-producing node, in absolute

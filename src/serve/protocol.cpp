@@ -131,6 +131,15 @@ double delta_number(const JsonValue& delta, const char* key, double lo,
   return n;
 }
 
+/// delta_number() that must also be integral, like a submit's int_field.
+int delta_int(const JsonValue& delta, const char* key, int lo, int hi) {
+  const double n = delta_number(delta, key, lo, hi);
+  if (std::nearbyint(n) != n) {
+    bad_delta(std::string("delta field '") + key + "' must be integral");
+  }
+  return static_cast<int>(n);
+}
+
 DeltaSpec parse_delta_spec(const JsonValue& delta) {
   if (!delta.is_object()) bad_delta("'delta' must be an object");
   const JsonValue* kind_field = delta.find("kind");
@@ -164,10 +173,10 @@ DeltaSpec parse_delta_spec(const JsonValue& delta) {
                      {"kind", "main_clock_ns", "datapath_multiplier",
                       "transfer_multiplier"});
     spec.main_clock_ns = delta_number(delta, "main_clock_ns", 1e-3, 1e9);
-    spec.datapath_multiplier = static_cast<int>(
-        delta_number(delta, "datapath_multiplier", 1, 1024));
-    spec.transfer_multiplier = static_cast<int>(
-        delta_number(delta, "transfer_multiplier", 1, 1024));
+    spec.datapath_multiplier =
+        delta_int(delta, "datapath_multiplier", 1, 1024);
+    spec.transfer_multiplier =
+        delta_int(delta, "transfer_multiplier", 1, 1024);
   } else if (kind == "set_constraints") {
     spec.kind = DeltaSpec::Kind::SetConstraints;
     check_delta_keys(delta, kind,

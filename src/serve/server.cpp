@@ -23,9 +23,7 @@ constexpr std::size_t kKeepAllTrialCap = 500000;
 
 ChopServer::ChopServer(ServerOptions options)
     : options_(options),
-      queue_(options.queue_capacity),
-      evaluator_pool_(options.evaluator_pool_capacity,
-                      options.cache_entries_per_context) {
+      queue_(options.queue_capacity) {
   // 0 means auto-detect for both pools — the same contract as
   // chop_cli --threads=0.
   options_.workers = core::ThreadPool::resolve_threads(options_.workers);
@@ -216,21 +214,6 @@ void ChopServer::run_job(const std::shared_ptr<Job>& job) {
     search.deadline = job->deadline;
     search.profile = &job->profile;
 
-    // The cross-request warm cache, keyed on the *core* fingerprint so a
-    // revised job that only moved the constraint budget shares its base
-    // job's evaluator: full-key entries from the base keep matching where
-    // the constraints agree, and the core-level memo answers the rest
-    // with verdict-only re-evaluations instead of fresh integrations.
-    std::shared_ptr<core::CandidateEvaluator> shared_evaluator;
-    if (options_.share_evaluators) {
-      obs::TraceSpan acquire_span("serve.evaluator_pool.acquire");
-      const std::uint64_t fingerprint =
-          session.make_eval_context().core_fingerprint();
-      shared_evaluator = evaluator_pool_.acquire(fingerprint);
-      search.evaluator = shared_evaluator.get();
-      span.arg("fingerprint", fingerprint);
-    }
-
     const core::SearchResult result = session.search(search);
     std::string rendered;
     {
@@ -274,8 +257,7 @@ void ChopServer::run_generate_job(const std::shared_ptr<Job>& job,
   options.threads = core::ThreadPool::resolve_threads(job->options.threads);
   // Starts interleave with other jobs' work on the server-wide pool; the
   // per-candidate searches stay single-threaded (the portfolio is the
-  // parallelism). The engine brings its own cross-start evaluator, so the
-  // fingerprint-keyed pool (which needs a session to key off) is not used.
+  // parallelism). The engine brings its own cross-start evaluator.
   options.pool = search_pool_.get();
   options.search.threads = 1;
   options.search.bound_pruning = job->options.bound_pruning;
@@ -452,8 +434,6 @@ ServerStats ChopServer::stats() const {
   }
   stats.queue_depth = queue_.depth();
   stats.queue_capacity = queue_.capacity();
-  stats.evaluator_pool = evaluator_pool_.stats();
-  stats.eval_cache = evaluator_pool_.cache_stats();
   return stats;
 }
 

@@ -1,6 +1,6 @@
 // ChopServer — the long-lived partitioning service the paper's Figure-1
 // designer loop wants to talk to: many concurrent what-if evaluations
-// multiplexed over shared warm state.
+// multiplexed over one worker pool.
 //
 //   submit ──▶ [bounded priority JobQueue] ──▶ worker pool ──▶ result store
 //                       │ (overload → reject)        │
@@ -10,9 +10,9 @@
 // N worker threads each running predict_partitions()+search() per job, a
 // persistent in-process result store with status polling and blocking
 // waits, per-job cooperative cancellation and wall-clock deadlines
-// (threaded into SearchOptions), and an EvaluatorPool sharing one
-// memoizing CandidateEvaluator between all jobs whose EvalContext
-// fingerprints match. Transport-free — the NDJSON protocol, pipe loop and
+// (threaded into SearchOptions). Every job searches on its own session's
+// evaluator, so a served result is the direct-session result byte for
+// byte. Transport-free — the NDJSON protocol, pipe loop and
 // Unix-socket acceptors live in service.{hpp,cpp}/uds.{hpp,cpp}; tests
 // drive this class directly from many threads.
 //
@@ -31,7 +31,6 @@
 
 #include "core/eval/thread_pool.hpp"
 #include "obs/trace.hpp"
-#include "serve/evaluator_pool.hpp"
 #include "serve/job.hpp"
 #include "serve/job_queue.hpp"
 #include "serve/protocol.hpp"
@@ -49,13 +48,6 @@ struct ServerOptions {
   /// Hard bound on queued (not yet running) jobs; submissions beyond it
   /// are rejected with SubmitStatus::Overloaded.
   std::size_t queue_capacity = 64;
-  /// Share CandidateEvaluators across jobs with equal context
-  /// fingerprints. Off = every job evaluates with a private cold cache
-  /// (the reference behavior the differential tests compare against).
-  bool share_evaluators = true;
-  std::size_t evaluator_pool_capacity = 8;
-  std::size_t cache_entries_per_context =
-      core::CandidateEvaluator::kDefaultMaxEntries;
 };
 
 enum class SubmitStatus { Accepted, Overloaded, ShuttingDown, DuplicateId };
@@ -115,8 +107,6 @@ struct ServerStats {
   std::uint64_t cancelled = 0;
   std::uint64_t deadline_exceeded = 0;
   std::uint64_t failed = 0;
-  EvaluatorPool::Stats evaluator_pool{};
-  core::CandidateEvaluator::Stats eval_cache{};
 };
 
 class ChopServer {
@@ -137,12 +127,9 @@ class ChopServer {
 
   /// Resubmits a finished job's project with one DeltaSpec applied: the
   /// base must be terminal-Done, the revised job inherits the base's
-  /// options and queues like any submission. Because the evaluator pool
-  /// keys on the *core* context fingerprint, a constraints-only revision
-  /// lands on the same warm evaluator as its base and re-verdicts
-  /// memoized integration cores instead of re-integrating. Throws
-  /// ProtocolError (not_found / invalid_delta) when the delta does not
-  /// apply to the base project.
+  /// options and queues like any submission. Throws ProtocolError
+  /// (not_found / invalid_delta) when the delta does not apply to the
+  /// base project.
   ReviseOutcome revise(const std::string& base_id, const DeltaSpec& delta,
                        std::string new_id = {});
 
@@ -188,7 +175,6 @@ class ChopServer {
 
   ServerOptions options_;
   JobQueue queue_;
-  EvaluatorPool evaluator_pool_;
   const std::chrono::steady_clock::time_point started_at_ =
       std::chrono::steady_clock::now();
 

@@ -298,23 +298,6 @@ std::string Service::handle_stats() {
   jobs.set("failed", JsonValue(static_cast<double>(stats.failed)));
   response.set("jobs", std::move(jobs));
 
-  JsonValue pool;
-  pool.set("created",
-           JsonValue(static_cast<double>(stats.evaluator_pool.created)));
-  pool.set("reused",
-           JsonValue(static_cast<double>(stats.evaluator_pool.reused)));
-  pool.set("evicted",
-           JsonValue(static_cast<double>(stats.evaluator_pool.evicted)));
-  response.set("evaluator_pool", std::move(pool));
-
-  JsonValue cache;
-  cache.set("hits", JsonValue(static_cast<double>(stats.eval_cache.hits)));
-  cache.set("misses", JsonValue(static_cast<double>(stats.eval_cache.misses)));
-  cache.set("core_hits",
-            JsonValue(static_cast<double>(stats.eval_cache.core_hits)));
-  cache.set("evictions",
-            JsonValue(static_cast<double>(stats.eval_cache.evictions)));
-  response.set("eval_cache", std::move(cache));
   return response.dump();
 }
 

@@ -120,7 +120,9 @@ TEST(Benchmarks, CustomWidthPropagates) {
   const BenchmarkGraph ar = ar_lattice_filter(32);
   for (std::size_t i = 0; i < ar.graph.node_count(); ++i) {
     const Node& n = ar.graph.node(static_cast<NodeId>(i));
-    if (n.kind != OpKind::Output) EXPECT_EQ(n.width, 32);
+    if (n.kind != OpKind::Output) {
+      EXPECT_EQ(n.width, 32);
+    }
   }
 }
 

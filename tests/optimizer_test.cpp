@@ -176,10 +176,9 @@ TEST(AutoPartition, IterationCapHonored) {
   options.budget = 1;
   const gen::GenerateResult r = gen::generate_partitions(
       ar.graph, library(), mosis84_chips(2), {}, exp1_config(), options);
-  // At most `budget` evaluations per start, plus the final pass over the
-  // winning cut.
+  // At most `budget` evaluations per start.
   EXPECT_LE(r.evaluations,
-            static_cast<std::size_t>(options.num_starts) * options.budget + 1);
+            static_cast<std::size_t>(options.num_starts) * options.budget);
   EXPECT_GE(r.evaluations, 1u);
 }
 

@@ -113,7 +113,9 @@ TEST(Predictor, MaxIiCapRespected) {
   req.max_ii_dp = 12;
   Predictor predictor;
   for (const auto& p : predictor.predict(req)) {
-    if (p.style == DesignStyle::Pipelined) EXPECT_LE(p.ii_dp, 12);
+    if (p.style == DesignStyle::Pipelined) {
+      EXPECT_LE(p.ii_dp, 12);
+    }
   }
 }
 

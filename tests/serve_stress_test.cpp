@@ -1,10 +1,9 @@
 // Concurrency stress for chop_serve, run under TSan in CI: M client
-// threads hammer one ChopServer with N jobs each (two distinct projects,
-// so the evaluator pool juggles two fingerprints), every result must be
-// byte-identical to a direct single-process ChopSession run, and the
-// shared evaluation cache must show cross-job hits. A second test mixes
-// concurrent submits with concurrent cancels and an eventual drain —
-// nothing may crash, deadlock, or leave a job non-terminal.
+// threads hammer one ChopServer with N jobs each (two distinct projects),
+// and every result must be byte-identical to a direct single-process
+// ChopSession run. A second test mixes concurrent submits with concurrent
+// cancels and an eventual drain — nothing may crash, deadlock, or leave a
+// job non-terminal.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -87,12 +86,6 @@ TEST(ServeStress, ConcurrentClientsGetByteIdenticalResults) {
   const serve::ServerStats stats = server.stats();
   EXPECT_EQ(stats.completed,
             static_cast<std::uint64_t>(kClients * kJobsPerClient));
-  // 32 jobs over 2 fingerprints: 30 reuses, and the warm cache must have
-  // produced cross-job hits.
-  EXPECT_EQ(stats.evaluator_pool.created, 2u);
-  EXPECT_EQ(stats.evaluator_pool.reused,
-            static_cast<std::uint64_t>(kClients * kJobsPerClient - 2));
-  EXPECT_GT(stats.eval_cache.hits, 0u);
 }
 
 TEST(ServeStress, ConcurrentSubmitCancelShutdownNeverWedges) {

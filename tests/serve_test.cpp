@@ -1,8 +1,7 @@
 // chop_serve unit and integration tests: the JSON layer, the protocol
-// validator, the bounded priority queue, the evaluator pool, and the
-// ChopServer lifecycle — including the serving layer's central oracle,
-// byte-identical results between a served job and a direct
-// ChopSession run of the same project.
+// validator, the bounded priority queue, and the ChopServer lifecycle —
+// including the serving layer's central oracle, byte-identical results
+// between a served job and a direct ChopSession run of the same project.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -139,6 +138,16 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
   EXPECT_EQ(code(R"({"op":"submit","spec":"x","threads":0})"), "");
   EXPECT_EQ(code(R"({"op":"status"})"), "invalid_request");  // no id
   EXPECT_EQ(code(R"({"op":"stats","op":"stats"})"), "invalid_request");
+  // Clock multipliers are integers: a fractional one is rejected, not
+  // truncated.
+  EXPECT_EQ(code(R"({"op":"revise","id":"j1","delta":{"kind":"set_clock",)"
+                 R"("main_clock_ns":100,"datapath_multiplier":2.5,)"
+                 R"("transfer_multiplier":1}})"),
+            "invalid_delta");
+  EXPECT_EQ(code(R"({"op":"revise","id":"j1","delta":{"kind":"set_clock",)"
+                 R"("main_clock_ns":100,"datapath_multiplier":2,)"
+                 R"("transfer_multiplier":1.5}})"),
+            "invalid_delta");
   serve::ProtocolLimits tight;
   tight.max_line_bytes = 8;
   EXPECT_EQ([&]() -> std::string {
@@ -196,23 +205,6 @@ TEST(ServeQueue, RemoveAndDrainAndClose) {
   EXPECT_EQ(queue.pop(), nullptr);  // closed + drained
 }
 
-// --- Evaluator pool -----------------------------------------------------
-
-TEST(ServeEvaluatorPool, ReusesByFingerprintAndEvicts) {
-  serve::EvaluatorPool pool(1);
-  const auto a = pool.acquire(100);
-  EXPECT_EQ(pool.acquire(100), a);
-  const auto b = pool.acquire(200);  // capacity 1: evicts fingerprint 100
-  EXPECT_NE(b, a);
-  EXPECT_NE(pool.acquire(100), a);  // recreated after eviction
-  const serve::EvaluatorPool::Stats stats = pool.stats();
-  EXPECT_EQ(stats.created, 3u);
-  EXPECT_EQ(stats.reused, 1u);
-  EXPECT_EQ(stats.evicted, 2u);
-  // `a` survived its eviction because we still hold the shared_ptr.
-  EXPECT_EQ(a->stats().hits, 0u);
-}
-
 // --- Server lifecycle ---------------------------------------------------
 
 TEST(ServeServer, ServedResultIsByteIdenticalToDirectRun) {
@@ -238,27 +230,21 @@ TEST(ServeServer, SharedCacheDoesNotChangeResults) {
   job.heuristic = core::Heuristic::Enumeration;
   const std::string expected = direct_render(project, job);
 
-  for (const bool share : {true, false}) {
-    serve::ServerOptions options;
-    options.workers = 2;
-    options.share_evaluators = share;
-    serve::ChopServer server(options);
-    std::vector<std::string> ids;
-    for (int i = 0; i < 4; ++i) {
-      const serve::SubmitOutcome out = server.submit(project, job);
-      ASSERT_EQ(out.status, serve::SubmitStatus::Accepted);
-      ids.push_back(out.id);
-    }
-    for (const std::string& id : ids) {
-      const serve::JobView view = server.view(id, /*wait_terminal=*/true);
-      ASSERT_EQ(view.state, serve::JobState::Done);
-      EXPECT_EQ(view.result_json, expected);
-    }
-    if (share) {
-      // Jobs 2..4 hit job 1's warm cache.
-      EXPECT_GT(server.stats().eval_cache.hits, 0u);
-      EXPECT_EQ(server.stats().evaluator_pool.reused, 3u);
-    }
+  // Four repeats of one project on concurrent workers: each job runs on
+  // its own session's evaluator and renders the direct run's bytes.
+  serve::ServerOptions options;
+  options.workers = 2;
+  serve::ChopServer server(options);
+  std::vector<std::string> ids;
+  for (int i = 0; i < 4; ++i) {
+    const serve::SubmitOutcome out = server.submit(project, job);
+    ASSERT_EQ(out.status, serve::SubmitStatus::Accepted);
+    ids.push_back(out.id);
+  }
+  for (const std::string& id : ids) {
+    const serve::JobView view = server.view(id, /*wait_terminal=*/true);
+    ASSERT_EQ(view.state, serve::JobState::Done);
+    EXPECT_EQ(view.result_json, expected);
   }
 }
 

@@ -1,6 +1,6 @@
 // chopd — the CHOP partitioning daemon. Hosts a ChopServer (worker pool,
-// bounded priority queue, shared cross-request evaluation cache) behind
-// one of two NDJSON transports:
+// bounded priority queue, one evaluator per job) behind one of two NDJSON
+// transports:
 //
 //   chopd --pipe                 requests on stdin, responses on stdout;
 //                                EOF = graceful drain and exit
@@ -19,7 +19,6 @@
 //                          monopolizing workers
 //   --queue-cap=N          queued-job bound; beyond it submissions are
 //                          rejected with "overload" (default 64)
-//   --no-shared-cache      disable cross-request evaluator sharing
 //   --trace=<file>         Chrome trace-event JSON of the daemon's spans;
 //                          one connected tree per job (trace id minted at
 //                          submit, echoed in every response)
@@ -57,7 +56,7 @@ int usage() {
   std::cerr
       << "usage: chopd (--pipe | --socket=<path>) [--workers=N]\n"
          "             [--search-threads=N] [--queue-cap=N]\n"
-         "             [--no-shared-cache] [--trace=<file>]\n"
+         "             [--trace=<file>]\n"
          "             [--metrics=<file>] [--metrics-jsonl=<file>]\n"
          "             [--prom=<file>] [--metrics-interval-ms=N]\n";
   return 1;
@@ -78,8 +77,6 @@ bool parse_args(int argc, char** argv, DaemonOptions& options) {
       } else if (arg.rfind("--queue-cap=", 0) == 0) {
         options.server.queue_capacity =
             static_cast<std::size_t>(std::stoul(arg.substr(12)));
-      } else if (arg == "--no-shared-cache") {
-        options.server.share_evaluators = false;
       } else if (arg.rfind("--trace=", 0) == 0) {
         options.telemetry.trace_path = arg.substr(8);
       } else if (arg.rfind("--metrics=", 0) == 0) {
