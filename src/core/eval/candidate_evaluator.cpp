@@ -39,20 +39,24 @@ std::size_t CandidateEvaluator::KeyHash::operator()(const Key& k) const {
 }
 
 CandidateEvaluator::CandidateEvaluator(std::size_t max_entries)
-    : max_entries_(max_entries),
-      shard_cap_((max_entries_ + kShards - 1) / kShards),
+    : shard_cap_((max_entries + kShards - 1) / kShards),
       hits_counter_(obs::MetricsRegistry::global().counter("eval.cache_hits")),
       misses_counter_(
           obs::MetricsRegistry::global().counter("eval.cache_misses")),
       evictions_counter_(
-          obs::MetricsRegistry::global().counter("eval.cache_evictions")),
-      core_hits_counter_(
-          obs::MetricsRegistry::global().counter("eval.delta_core_hits")) {}
+          obs::MetricsRegistry::global().counter("eval.cache_evictions")) {}
 
 std::shared_ptr<const IntegrationResult> CandidateEvaluator::evaluate(
     const EvalContext& ctx,
     const std::vector<const bad::DesignPrediction*>& selection,
     Cycles ii_main, obs::PhaseProfile* profile) {
+  if (shard_cap_ == 0) {
+    uncached_misses_.fetch_add(1, std::memory_order_relaxed);
+    misses_counter_.add();
+    return std::make_shared<const IntegrationResult>(
+        integrate(ctx, selection, ii_main));
+  }
+
   Key key;
   key.context_fp = ctx.fingerprint();
   key.ii = ii_main;
@@ -75,47 +79,10 @@ std::shared_ptr<const IntegrationResult> CandidateEvaluator::evaluate(
     misses_counter_.add();
   }
 
-  // Core-level probe: the same selection + II under the
-  // constraint-independent core fingerprint. A hit means only the
-  // constraint budget / criteria moved since this candidate was last
-  // integrated, so the expensive half is reusable verbatim.
-  Key core_key = key;
-  core_key.context_fp = ctx.core_fingerprint();
-  CoreShard& core_shard = core_shards_[KeyHash{}(core_key) % kShards];
-  std::shared_ptr<const IntegrationCore> cached_core;
-  {
-    TimedLockGuard lock(core_shard.mu, profile);
-    const auto it = core_shard.map.find(core_key);
-    if (it != core_shard.map.end()) {
-      ++core_shard.hits;
-      core_hits_counter_.add();
-      cached_core = it->second;
-    }
-  }
-
-  // Compute outside the locks: integrations dominate the cost, and holding
+  // Compute outside the lock: integrations dominate the cost, and holding
   // a shard would serialize the parallel enumeration's workers.
-  std::shared_ptr<const IntegrationResult> result;
-  if (cached_core != nullptr) {
-    obs::ScopedPhase verdict_phase(profile, obs::SearchPhase::kVerdict);
-    result = std::make_shared<const IntegrationResult>(
-        apply_verdict(ctx, *cached_core));
-  } else {
-    auto fresh_core = std::make_shared<const IntegrationCore>(
-        integrate_core(ctx, selection, ii_main));
-    result = std::make_shared<const IntegrationResult>(
-        apply_verdict(ctx, *fresh_core));
-    TimedLockGuard lock(core_shard.mu, profile);
-    const auto [it, inserted] =
-        core_shard.map.emplace(core_key, std::move(fresh_core));
-    if (inserted) {
-      core_shard.fifo.push_back(std::move(core_key));
-      while (core_shard.map.size() > shard_cap_) {
-        core_shard.map.erase(core_shard.fifo.front());
-        core_shard.fifo.pop_front();
-      }
-    }
-  }
+  auto result = std::make_shared<const IntegrationResult>(
+      integrate(ctx, selection, ii_main));
 
   TimedLockGuard lock(shard.mu, profile);
   const auto [it, inserted] = shard.map.emplace(key, result);
@@ -132,15 +99,12 @@ std::shared_ptr<const IntegrationResult> CandidateEvaluator::evaluate(
 
 CandidateEvaluator::Stats CandidateEvaluator::stats() const {
   Stats out;
+  out.misses = uncached_misses_.load(std::memory_order_relaxed);
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     out.hits += shard.hits;
     out.misses += shard.misses;
     out.evictions += shard.evictions;
-  }
-  for (const CoreShard& shard : core_shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    out.core_hits += shard.hits;
   }
   return out;
 }
@@ -152,19 +116,6 @@ std::size_t CandidateEvaluator::size() const {
     n += shard.map.size();
   }
   return n;
-}
-
-void CandidateEvaluator::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-    shard.fifo.clear();
-  }
-  for (CoreShard& shard : core_shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-    shard.fifo.clear();
-  }
 }
 
 }  // namespace chop::core

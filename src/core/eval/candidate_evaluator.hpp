@@ -21,20 +21,12 @@
 // costs a repeat integration later; correctness never depends on
 // residency.
 //
-// Two-level memo: besides the full-key map, each shard group also caches
-// the constraint-independent IntegrationCore under (core fingerprint, II,
-// selection digests). A full-key miss whose core key hits — the signature
-// of a §2.7 tighten/loosen-constraint revision — skips the transfer
-// planning and urgency scheduling entirely and only re-runs the cheap
-// constraint verdict (apply_verdict), then promotes the judged result
-// into the full map. Core entries follow the same FIFO residency bound.
-//
-// Observability: global counters `eval.cache_hits`, `eval.cache_misses`,
-// `eval.cache_evictions` and `eval.delta_core_hits`, plus per-instance
-// stats().
+// Observability: global counters `eval.cache_hits`, `eval.cache_misses` and
+// `eval.cache_evictions`, plus per-instance stats().
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -56,9 +48,9 @@ class CandidateEvaluator {
   static constexpr std::size_t kDefaultMaxEntries = 1 << 16;
 
   /// `max_entries` bounds residency (see the eviction note above);
-  /// 0 disables caching entirely — every evaluate() integrates fresh,
-  /// which is the reference behavior cache-correctness tests compare
-  /// against.
+  /// 0 disables caching entirely — every evaluate() counts a miss and
+  /// integrates fresh, with no key, lock or map touched. That is the
+  /// reference behavior cache-correctness tests compare against.
   explicit CandidateEvaluator(std::size_t max_entries = kDefaultMaxEntries);
 
   CandidateEvaluator(const CandidateEvaluator&) = delete;
@@ -79,19 +71,11 @@ class CandidateEvaluator {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
-    /// Full-key misses served by a memoized IntegrationCore (verdict-only
-    /// re-evaluation; no transfer planning or scheduling ran).
-    std::uint64_t core_hits = 0;
   };
   Stats stats() const;
 
   /// Entries currently resident, across all shards.
   std::size_t size() const;
-
-  std::size_t max_entries() const { return max_entries_; }
-
-  /// Drops every entry (stats are kept).
-  void clear();
 
  private:
   struct Key {
@@ -112,27 +96,15 @@ class CandidateEvaluator {
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
   };
-  /// Core-level shard: memoized IntegrationCores keyed on the
-  /// constraint-independent core fingerprint. Separate locks from the
-  /// full-key shards; the two are never held simultaneously.
-  struct CoreShard {
-    mutable std::mutex mu;
-    std::unordered_map<Key, std::shared_ptr<const IntegrationCore>, KeyHash>
-        map;
-    std::deque<Key> fifo;
-    std::uint64_t hits = 0;
-  };
-
   static constexpr std::size_t kShards = 16;
 
-  std::size_t max_entries_;
-  std::size_t shard_cap_;  ///< ⌈max_entries_ / kShards⌉ (0 = no caching).
+  std::size_t shard_cap_;  ///< ⌈max_entries / kShards⌉ (0 = no caching).
   std::array<Shard, kShards> shards_;
-  std::array<CoreShard, kShards> core_shards_;
+  /// Misses of a zero-capacity evaluator, which has no shard to count in.
+  std::atomic<std::uint64_t> uncached_misses_{0};
   obs::Counter& hits_counter_;
   obs::Counter& misses_counter_;
   obs::Counter& evictions_counter_;
-  obs::Counter& core_hits_counter_;
 };
 
 }  // namespace chop::core

@@ -49,21 +49,13 @@ void mix_transfer(Fnv1a& h, const DataTransfer& t) {
 
 namespace {
 
-struct ContextDigests {
-  std::uint64_t core = 0;  ///< Constraint/criteria-independent prefix.
-  std::uint64_t full = 0;  ///< The whole tuple.
-};
-
-/// Streams the tuple so the constraint budget and feasibility criteria are
-/// mixed last: the running digest just before them is the core
-/// fingerprint, and the final digest is the full one. Keeping both from a
-/// single pass guarantees the core is a true prefix of the full key.
-ContextDigests context_fingerprints(const Partitioning& pt,
-                                    const std::vector<DataTransfer>& transfers,
-                                    const bad::ClockSpec& clocks,
-                                    const DesignConstraints& constraints,
-                                    const FeasibilityCriteria& criteria,
-                                    Pins extra_pins) {
+/// Content digest of the whole evaluation tuple.
+std::uint64_t context_fingerprint(const Partitioning& pt,
+                                  const std::vector<DataTransfer>& transfers,
+                                  const bad::ClockSpec& clocks,
+                                  const DesignConstraints& constraints,
+                                  const FeasibilityCriteria& criteria,
+                                  Pins extra_pins) {
   Fnv1a h;
   for (const chip::ChipInstance& c : pt.chips()) {
     h.mix(c.name);
@@ -96,10 +88,6 @@ ContextDigests context_fingerprints(const Partitioning& pt,
   h.mix(static_cast<std::int64_t>(clocks.datapath_multiplier));
   h.mix(static_cast<std::int64_t>(clocks.transfer_multiplier));
   h.mix(static_cast<std::int64_t>(extra_pins));
-
-  ContextDigests out;
-  out.core = h.digest();
-
   h.mix(constraints.performance_ns);
   h.mix(constraints.delay_ns);
   h.mix(constraints.system_power_mw);
@@ -108,8 +96,7 @@ ContextDigests context_fingerprints(const Partitioning& pt,
   h.mix(criteria.performance_prob);
   h.mix(criteria.delay_prob);
   h.mix(criteria.power_prob);
-  out.full = h.digest();
-  return out;
+  return h.digest();
 }
 
 }  // namespace
@@ -146,10 +133,8 @@ EvalContext::EvalContext(const Partitioning& pt,
   constraints_.validate();
   criteria_.validate();
   CHOP_REQUIRE(extra_pins_ >= 0, "extra pin reserve cannot be negative");
-  const ContextDigests digests = context_fingerprints(
-      pt, transfers_, clocks_, constraints_, criteria_, extra_pins_);
-  fingerprint_ = digests.full;
-  core_fingerprint_ = digests.core;
+  fingerprint_ = context_fingerprint(pt, transfers_, clocks_, constraints_,
+                                     criteria_, extra_pins_);
 }
 
 }  // namespace chop::core

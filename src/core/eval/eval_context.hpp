@@ -47,14 +47,6 @@ class EvalContext {
   /// cached IntegrationResults are interchangeable between them.
   std::uint64_t fingerprint() const { return fingerprint_; }
 
-  /// Digest of the constraint-independent prefix of the tuple: everything
-  /// fingerprint() covers except the constraint budget and the feasibility
-  /// criteria. Two contexts with equal core fingerprints produce identical
-  /// IntegrationCore values for any selection — only the verdict can
-  /// differ — which is what lets the §2.7 tighten/loosen-constraint group
-  /// reuse memoized integration cores and warm evaluator state.
-  std::uint64_t core_fingerprint() const { return core_fingerprint_; }
-
  private:
   const Partitioning* pt_;
   std::vector<DataTransfer> transfers_;
@@ -63,7 +55,6 @@ class EvalContext {
   FeasibilityCriteria criteria_;
   Pins extra_pins_;
   std::uint64_t fingerprint_;
-  std::uint64_t core_fingerprint_;
 };
 
 /// Content digest of one partition as integrate() sees it: name, chip

@@ -6,14 +6,14 @@
 // family, and tighten or loosen the constraint budget. An EvalDelta names
 // one such edit as data, so the session can apply it, diff the
 // evaluation-context fingerprints before and after, and keep the follow-up
-// predict + search incremental: per-partition prediction reuse and warm
-// CandidateEvaluator shards (full-key and constraint-independent core-key).
+// predict + search incremental: per-partition prediction reuse, and a warm
+// CandidateEvaluator that serves every revisited state from its full-key
+// memo.
 //
 // A DeltaImpact summarises what actually changed — the contract consumers
 // rely on: `noop` deltas keep the stored predictions valid, so re-predicting
-// reruns no BAD; `constraints_only` deltas keep every IntegrationCore
-// valid; and `dirty_partitions` names the prediction lists that genuinely
-// need a fresh BAD pass.
+// reruns no BAD; and `dirty_partitions` names the prediction lists that
+// genuinely need a fresh BAD pass.
 #pragma once
 
 #include <cstdint>
@@ -79,11 +79,6 @@ struct DeltaImpact {
   /// Full-context fingerprint unchanged: the edit re-stated the current
   /// state. The stored predictions stay valid.
   bool noop = false;
-
-  /// Core fingerprint unchanged (but the full one moved): only the
-  /// constraint budget / criteria differ, so every memoized
-  /// IntegrationCore and BoundTables static remains valid.
-  bool constraints_only = false;
 
   /// Per-partition flag: the partition's prediction inputs (members, chip
   /// package, clocks, or the pruning budget) changed, so its list must be

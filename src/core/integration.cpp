@@ -67,7 +67,17 @@ EvalScratch& scratch_for_thread() {
   return scratch;
 }
 
-}  // namespace
+/// The constraint-independent half of an integration: transfer plans, the
+/// urgency schedule, buffers, per-chip areas and powers, the adjusted clock
+/// and the absolute performance/delay figures. `structural_fail` marks
+/// combinations that die before the verdict — rate mismatch, pin
+/// exhaustion, transfers that cannot fit the initiation interval, an
+/// infeasible urgency schedule. Those carry their final reason in
+/// `partial` already; apply_verdict() only accounts them.
+struct IntegrationCore {
+  IntegrationResult partial;
+  bool structural_fail = false;
+};
 
 IntegrationCore integrate_core(
     const EvalContext& ctx,
@@ -380,12 +390,15 @@ IntegrationCore integrate_core(
   return core;
 }
 
+/// The verdict half: checks `core` against ctx's constraints and criteria
+/// (chip area, performance, delay, power) and fills violated_chips /
+/// feasible / reason, reusing the core's buffers.
 IntegrationResult apply_verdict(const EvalContext& ctx,
-                                const IntegrationCore& core) {
+                                IntegrationCore core) {
   static obs::Counter& infeasible =
       obs::MetricsRegistry::global().counter("integration.infeasible");
 
-  IntegrationResult out = core.partial;
+  IntegrationResult out = std::move(core.partial);
   if (core.structural_fail) {
     // Structural failures carry their final reason from integrate_core();
     // no constraint is ever consulted for them.
@@ -435,6 +448,8 @@ IntegrationResult apply_verdict(const EvalContext& ctx,
   out.reason.clear();
   return out;
 }
+
+}  // namespace
 
 IntegrationResult integrate(
     const EvalContext& ctx,

@@ -78,34 +78,6 @@ IntegrationResult integrate(
     const std::vector<const bad::DesignPrediction*>& selection,
     Cycles ii_main);
 
-/// The constraint-independent half of an integration: everything integrate()
-/// derives from the partitioning, transfers, clocks and predictions alone —
-/// transfer plans, the urgency schedule, buffers, per-chip areas and powers,
-/// the adjusted clock and the absolute performance/delay figures. The result
-/// is a pure function of EvalContext::core_fingerprint() inputs plus the
-/// selection, so it can be memoized across constraint/criteria edits (the
-/// §2.7 tighten/loosen-constraint group) and re-judged cheaply.
-///
-/// `structural_fail` marks combinations that die before the verdict —
-/// rate mismatch, pin exhaustion, transfers that cannot fit the initiation
-/// interval, an infeasible urgency schedule. Those carry their final reason
-/// in `partial` already; apply_verdict() only accounts them.
-struct IntegrationCore {
-  IntegrationResult partial;
-  bool structural_fail = false;
-};
-
-IntegrationCore integrate_core(
-    const EvalContext& ctx,
-    const std::vector<const bad::DesignPrediction*>& selection,
-    Cycles ii_main);
-
-/// The verdict half: checks `core` against ctx's constraints and criteria
-/// (chip area, performance, delay, power) and fills violated_chips /
-/// feasible / reason. integrate() == apply_verdict(ctx, integrate_core(...)).
-IntegrationResult apply_verdict(const EvalContext& ctx,
-                                const IntegrationCore& core);
-
 /// The performance bound a combination implies: the slowest selected
 /// implementation ("the performance of each combination is upper bounded
 /// and set by the slowest partition implementation").

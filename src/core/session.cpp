@@ -174,13 +174,7 @@ DeltaImpact ChopSession::apply(const EvalDelta& delta) {
       obs::MetricsRegistry::global().counter("eval.delta_applied");
 
   const std::size_t nparts = partitioning_.partitions().size();
-  std::uint64_t old_full = 0;
-  std::uint64_t old_core = 0;
-  {
-    const EvalContext before = make_eval_context();
-    old_full = before.fingerprint();
-    old_core = before.core_fingerprint();
-  }
+  const std::uint64_t old_full = make_eval_context().fingerprint();
   std::vector<std::uint64_t> old_keys(nparts);
   {
     const std::uint64_t env = predict_env_key();
@@ -196,13 +190,8 @@ DeltaImpact ChopSession::apply(const EvalDelta& delta) {
   DeltaImpact impact;
   impact.revision = ++revision_;
   impact.old_fingerprint = old_full;
-  {
-    const EvalContext after = make_eval_context();
-    impact.new_fingerprint = after.fingerprint();
-    impact.noop = impact.new_fingerprint == old_full;
-    impact.constraints_only =
-        !impact.noop && after.core_fingerprint() == old_core;
-  }
+  impact.new_fingerprint = make_eval_context().fingerprint();
+  impact.noop = impact.new_fingerprint == old_full;
 
   const std::uint64_t env = predict_env_key();
   impact.dirty_partitions.resize(nparts);
@@ -214,7 +203,6 @@ DeltaImpact ChopSession::apply(const EvalDelta& delta) {
   if (!impact.noop) predictions_valid_ = false;
   applied.add();
   span.arg("noop", impact.noop ? 1 : 0);
-  span.arg("constraints_only", impact.constraints_only ? 1 : 0);
   span.arg("dirty_partitions", impact.dirty_count());
   return impact;
 }

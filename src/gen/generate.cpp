@@ -20,6 +20,9 @@ namespace chop::gen {
 
 namespace {
 
+/// Starts whose results commit together before the incumbent advances.
+constexpr int kWaveSize = 4;
+
 /// splitmix64-style mix so neighboring start indices decorrelate.
 std::uint64_t mix(std::uint64_t z) {
   z += 0x9e3779b97f4a7c15ull;
@@ -554,7 +557,7 @@ GenerateResult generate_partitions(const dfg::Graph& spec,
       obs::MetricsRegistry::global().counter("gen.frontier_points");
 
   CHOP_REQUIRE(!chips.empty(), "generate_partitions needs at least one chip");
-  CHOP_REQUIRE(options.num_starts >= 1 && options.wave_size >= 1 &&
+  CHOP_REQUIRE(options.num_starts >= 1 &&
                    options.max_candidates_per_level >= 1,
                "generate option out of range");
   CHOP_REQUIRE(options.threads >= 1,
@@ -649,10 +652,9 @@ GenerateResult generate_partitions(const dfg::Graph& spec,
   Score best_score;
   bool have_best = false;
 
-  for (int wave = 0; wave * options.wave_size < options.num_starts; ++wave) {
-    const int first = wave * options.wave_size;
-    const int last =
-        std::min(first + options.wave_size, options.num_starts);
+  for (int wave = 0; wave * kWaveSize < options.num_starts; ++wave) {
+    const int first = wave * kWaveSize;
+    const int last = std::min(first + kWaveSize, options.num_starts);
     std::vector<StartOutcome> outcomes(static_cast<std::size_t>(last - first));
     if (pool != nullptr) {
       std::vector<std::future<void>> futures;

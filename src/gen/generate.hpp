@@ -57,8 +57,6 @@ struct GenerateOptions {
   int threads = 1;
   /// External pool to run starts on (not owned); null = private pool.
   core::ThreadPool* pool = nullptr;
-  /// Starts whose results commit together before the incumbent advances.
-  int wave_size = 4;
   /// Boundary-move candidates evaluated per hierarchy level per pass.
   int max_candidates_per_level = 6;
   /// Scoring search for every candidate cut (iterative by default — the

@@ -9,7 +9,6 @@ const char* to_string(SearchPhase phase) {
     case SearchPhase::kBoundTables: return "bound_tables";
     case SearchPhase::kSeedProbes: return "seed_probes";
     case SearchPhase::kLeafEval: return "leaf_eval";
-    case SearchPhase::kVerdict: return "verdict";
     case SearchPhase::kMerge: return "merge";
     case SearchPhase::kFrontierSync: return "frontier_sync";
     case SearchPhase::kCacheWait: return "cache_wait";

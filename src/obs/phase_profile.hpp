@@ -1,9 +1,8 @@
 // Search-phase profiler: cheap scoped wall-clock counters attributing
 // where a search spends its time — bound-table builds, heuristic probe
-// seeding, leaf evaluations, verdict-only re-evaluations on a memoized
-// core, result merging, shared-incumbent frontier synchronization,
-// evaluator-cache lock waits, per-partition BAD prediction, and
-// serve-side result rendering.
+// seeding, leaf evaluations, result merging, evaluator-cache lock waits,
+// per-partition BAD prediction, serve-side result rendering, and the
+// three phases of partition generation.
 //
 // Unlike TraceSpan (per-event, needs a sink and a file) this is an
 // aggregate: two atomic adds per scope, readable live while the search
@@ -28,7 +27,6 @@ enum class SearchPhase : std::size_t {
   kBoundTables = 0,  ///< B&B bound-table construction per prefix unit.
   kSeedProbes,       ///< Heuristic probes seeding the pruning frontier.
   kLeafEval,         ///< Candidate evaluations at enumeration leaves.
-  kVerdict,          ///< Constraint-verdict re-runs on a memoized core.
   kMerge,            ///< In-order merging of per-unit results.
   kFrontierSync,     ///< Always 0; kept so benchmark reports keep the key.
   kCacheWait,        ///< Blocked acquiring an evaluator cache shard lock.

@@ -375,7 +375,6 @@ ScenarioReport run_oracles(const io::Project& project,
         project.chips.size()) {
       gen::GenerateOptions gopt;
       gopt.num_starts = 2;
-      gopt.wave_size = 2;
       gopt.budget = 6;
       const auto run = [&](int threads) {
         gen::GenerateOptions o = gopt;

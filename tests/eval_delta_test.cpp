@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "chip/mosis_packages.hpp"
-#include "core/integration.hpp"
 #include "core/session.hpp"
 #include "dfg/benchmarks.hpp"
 #include "library/experiment_library.hpp"
@@ -134,7 +133,6 @@ TEST(EvalDelta, ConstraintChangeIsConstraintsOnly) {
   c.performance_ns = 27000.0;
   const DeltaImpact impact = s.apply(EvalDelta::set_constraints(c));
   EXPECT_FALSE(impact.noop);
-  EXPECT_TRUE(impact.constraints_only);
   EXPECT_NE(impact.old_fingerprint, impact.new_fingerprint);
 }
 
@@ -145,7 +143,6 @@ TEST(EvalDelta, ClockChangeDirtiesEveryPartition) {
   const DeltaImpact impact =
       s.apply(EvalDelta::set_clocking(s.config().style, clocks));
   EXPECT_FALSE(impact.noop);
-  EXPECT_FALSE(impact.constraints_only);
   ASSERT_EQ(impact.dirty_partitions.size(), 3u);
   EXPECT_EQ(impact.dirty_count(), 3u);
 }
@@ -295,13 +292,9 @@ TEST(EvalDelta, ConstraintsOnlyDeltaReusesRawPredictions) {
   tighter.delay_ns = 27000.0;
   s.apply(EvalDelta::set_constraints(tighter));
   const std::uint64_t reused = counter("eval.delta_predict_reused");
-  const std::uint64_t core_hits = counter("eval.delta_core_hits");
   (void)predict_and_search(s, opt);
   EXPECT_EQ(counter("eval.delta_predict_reused"), reused + 2)
       << "a delay budget change must not re-run BAD";
-  EXPECT_GT(counter("eval.delta_core_hits"), core_hits)
-      << "memoized integration cores stay valid under a constraints-only "
-         "delta";
 }
 
 TEST(EvalDelta, ClockDeltaRecomputesEveryPrediction) {
@@ -316,42 +309,6 @@ TEST(EvalDelta, ClockDeltaRecomputesEveryPrediction) {
   (void)predict_and_search(s, opt);
   EXPECT_EQ(counter("eval.delta_predict_recomputed"), recomputed + 2)
       << "an all-dirty delta degenerates to the cold prediction path";
-}
-
-// ---- the core/verdict split ----
-
-TEST(EvalDelta, IntegrateEqualsCoreThenVerdict) {
-  ChopSession s = make_session(2);
-  s.predict_partitions();
-  const EvalContext ctx = s.make_eval_context();
-  const auto& eligible = s.predictions().eligible;
-  ASSERT_EQ(eligible.size(), 2u);
-  ASSERT_FALSE(eligible[0].empty());
-  ASSERT_FALSE(eligible[1].empty());
-  // Walk a few combinations, not just the head of each list.
-  for (std::size_t i = 0; i < eligible[0].size(); i += 3) {
-    for (std::size_t j = 0; j < eligible[1].size(); j += 3) {
-      const std::vector<const bad::DesignPrediction*> selection = {
-          &eligible[0][i], &eligible[1][j]};
-      const Cycles ii = combination_ii(selection);
-      const IntegrationResult direct = integrate(ctx, selection, ii);
-      const IntegrationResult split =
-          apply_verdict(ctx, integrate_core(ctx, selection, ii));
-      EXPECT_EQ(direct.feasible, split.feasible);
-      EXPECT_EQ(direct.ii_main, split.ii_main);
-      EXPECT_EQ(direct.system_delay_main, split.system_delay_main);
-      EXPECT_EQ(direct.reason, split.reason);
-      EXPECT_EQ(direct.violated_chips, split.violated_chips);
-      EXPECT_EQ(direct.performance_ns, split.performance_ns);
-      EXPECT_EQ(direct.delay_ns, split.delay_ns);
-      EXPECT_EQ(direct.adjusted_clock_ns, split.adjusted_clock_ns);
-      EXPECT_EQ(direct.system_power_mw, split.system_power_mw);
-      ASSERT_EQ(direct.chip_area.size(), split.chip_area.size());
-      for (std::size_t c = 0; c < direct.chip_area.size(); ++c) {
-        EXPECT_EQ(direct.chip_area[c], split.chip_area[c]);
-      }
-    }
-  }
 }
 
 }  // namespace

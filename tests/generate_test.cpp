@@ -289,7 +289,6 @@ TEST(GenerateDeterminism, ByteIdenticalAcrossThreadCounts) {
     GenerateOptions options;
     options.num_starts = 6;
     options.threads = threads;
-    options.wave_size = 3;
     const GenerateResult r = generate_partitions(
         bg.graph, library, test_chips(3), {}, test_config(), options);
     const std::string d = digest(r);
@@ -325,7 +324,6 @@ TEST(GenerateDeterminism, ByteIdenticalUnderAdversarialScheduling) {
       lib::dac91_experiment_library();
   GenerateOptions options;
   options.num_starts = 6;
-  options.wave_size = 3;
   options.threads = 4;
   const GenerateResult fair = generate_partitions(
       bg.graph, library, test_chips(2), {}, test_config(), options);
