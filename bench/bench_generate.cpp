@@ -74,7 +74,7 @@ dfg::BenchmarkGraph workload(int operations, int depth, std::uint64_t seed) {
 std::string digest(const gen::GenerateResult& r) {
   std::ostringstream out;
   out << std::hexfloat;
-  out << r.starts_run << '/' << r.starts_killed << '/' << r.evaluations << '/'
+  out << r.starts_run << '/' << r.evaluations << '/'
       << r.gated << '/' << r.levels << '/' << r.coarsest_vertices << '\n';
   for (const gen::FrontierPoint& p : r.frontier) {
     out << p.ii << ' ' << p.delay << ' ' << p.area << ' ' << p.start << ' ';
@@ -160,7 +160,7 @@ WorkloadReport run_workload(const std::string& key, int operations, int depth,
             << " (" << baseline_ms << " ms)\n\n";
 
   // --- Quality vs starts (serial, shared evaluator per run) ------------
-  TablePrinter quality({"Starts", "Evals", "Gated", "Killed", "Frontier",
+  TablePrinter quality({"Starts", "Evals", "Gated", "Frontier",
                         "Best II", "Best Delay", "Cache Hits", "Wall (ms)"});
   gen::GenerateResult best_run;
   double best_run_ms = 0.0;
@@ -178,12 +178,10 @@ WorkloadReport run_workload(const std::string& key, int operations, int depth,
     const double ms = timer.elapsed_ms();
     const std::size_t hits = evaluator.stats().hits;
     if (r.feasible()) {
-      quality.row(starts, r.evaluations, r.gated, r.starts_killed,
-                  r.frontier.size(), r.frontier.front().ii,
-                  r.frontier.front().delay, hits, ms);
+      quality.row(starts, r.evaluations, r.gated, r.frontier.size(),
+                  r.frontier.front().ii, r.frontier.front().delay, hits, ms);
     } else {
-      quality.row(starts, r.evaluations, r.gated, r.starts_killed, 0, "-",
-                  "-", hits, ms);
+      quality.row(starts, r.evaluations, r.gated, 0, "-", "-", hits, ms);
     }
     if (hits > 0) report.cache_hits_seen = true;
     if (starts == start_counts.back()) {

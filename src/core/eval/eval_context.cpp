@@ -101,23 +101,6 @@ std::uint64_t context_fingerprint(const Partitioning& pt,
 
 }  // namespace
 
-std::uint64_t partition_fingerprint(const Partitioning& pt, std::size_t p) {
-  const Partition& part = pt.partitions()[p];
-  Fnv1a h;
-  h.mix(part.name);
-  h.mix(static_cast<std::int64_t>(part.chip));
-  const chip::ChipPackage& pkg =
-      pt.chips()[static_cast<std::size_t>(part.chip)].package;
-  h.mix(pkg.width_mil);
-  h.mix(pkg.height_mil);
-  h.mix(static_cast<std::int64_t>(pkg.pin_count));
-  h.mix(pkg.pad_delay);
-  h.mix(pkg.io_pad_area);
-  h.mix(static_cast<std::int64_t>(pkg.infrastructure_pins));
-  for (dfg::NodeId id : part.members) h.mix(static_cast<std::int64_t>(id));
-  return h.digest();
-}
-
 EvalContext::EvalContext(const Partitioning& pt,
                          std::vector<DataTransfer> transfers,
                          const bad::ClockSpec& clocks,

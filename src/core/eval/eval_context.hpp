@@ -57,10 +57,4 @@ class EvalContext {
   std::uint64_t fingerprint_;
 };
 
-/// Content digest of one partition as integrate() sees it: name, chip
-/// binding (including the chip's package geometry) and member set. The
-/// session diffs these across an EvalDelta to decide which partitions'
-/// predictions and bound columns are actually dirty.
-std::uint64_t partition_fingerprint(const Partitioning& pt, std::size_t p);
-
 }  // namespace chop::core

@@ -9,12 +9,18 @@
 // it adversarially random to prove exactly that.
 //
 // Blocked callers can help: try_run_one() runs one pending job on the
-// calling thread, which lets a search joining a wave of units drain the
+// calling thread, which lets a caller waiting on its own tasks drain the
 // pool instead of sleeping behind it — and lets serve share one pool
 // across concurrent jobs without a long search monopolizing it.
+//
+// ordered_fold() is the one way the engines use a pool: the search's
+// prefix units and generation's portfolio starts both run as one batch
+// folded strictly in index order, which is what makes their results
+// independent of thread count and scheduling.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -22,6 +28,7 @@
 #include <future>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace chop::core {
@@ -96,5 +103,66 @@ class ThreadPool {
   long long pending_ = 0;
   bool stop_ = false;
 };
+
+/// Waits for `f`, running queued pool jobs on the calling thread while it
+/// is not ready; blocks only when nothing is runnable.
+inline void help_until_ready(ThreadPool& pool, const std::future<void>& f) {
+  while (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+    if (!pool.try_run_one()) f.wait();
+  }
+}
+
+/// Runs `task(i)` for every i in [0, count) and hands each result to
+/// `consume(i, result)` strictly in index order, until `consume` raises
+/// `stop` (a long task may poll the flag to abort early). A null `pool`
+/// runs task and consume inline, one index at a time. Otherwise the tasks go
+/// out as one batch: the caller consumes task i as soon as it is ready,
+/// helping run queued jobs while it waits, and a queued task that starts
+/// after `stop` is raised returns without running. On every exit —
+/// including an exception rethrown from a task or thrown by `consume` —
+/// `stop` is raised and every future drained before this returns, so no
+/// task outlives the caller's frame (essential on a pool shared with
+/// other jobs). The result type must be default-constructible.
+template <typename Task, typename Consume>
+void ordered_fold(ThreadPool* pool, std::size_t count,
+                  std::atomic<bool>& stop, const Task& task,
+                  const Consume& consume) {
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < count && !stop.load(std::memory_order_relaxed);
+         ++i) {
+      consume(i, task(i));
+    }
+    return;
+  }
+  std::vector<std::invoke_result_t<const Task&, std::size_t>> results(count);
+  std::vector<std::future<void>> futures;
+  struct Drain {
+    ThreadPool& pool;
+    std::atomic<bool>& stop;
+    std::vector<std::future<void>>& futures;
+    ~Drain() {
+      stop.store(true, std::memory_order_relaxed);
+      for (const std::future<void>& f : futures) {
+        if (f.valid()) help_until_ready(pool, f);
+      }
+    }
+  } drain{*pool, stop, futures};
+
+  std::vector<std::function<void()>> jobs;
+  jobs.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    jobs.push_back([&task, &results, &stop, i] {
+      if (stop.load(std::memory_order_relaxed)) return;
+      results[i] = task(i);
+    });
+  }
+  futures = pool->submit_batch(std::move(jobs));
+  for (std::size_t i = 0; i < count && !stop.load(std::memory_order_relaxed);
+       ++i) {
+    help_until_ready(*pool, futures[i]);
+    futures[i].get();  // rethrows the task's exception
+    consume(i, std::move(results[i]));
+  }
+}
 
 }  // namespace chop::core

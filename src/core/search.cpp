@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <future>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -692,77 +692,50 @@ SearchResult search_enumeration(const EvalContext& ctx,
     }
   };
 
-  if (options.threads <= 1 || unit_count <= 1) {
-    for (std::size_t u = 0; u < unit_count && !reached_cap && !cancel_hit;
-         ++u) {
-      if (cancel.armed() && cancel.triggered()) {
-        cancel_hit = true;
-        break;
-      }
-      consume(u, run_unit(u));
-    }
-  } else {
-    obs::TraceSpan span("search.parallel");
-    // An external pool (serve's, shared across jobs) schedules this
-    // search's units interleaved with everyone else's; otherwise spin up
-    // a private work-stealing pool for this search only.
-    ThreadPool* pool = options.pool;
+  {
+    // A parallel search runs its units on a pool: an external one
+    // (serve's, shared across jobs) interleaves them with everyone
+    // else's; otherwise a private work-stealing pool serves this search
+    // only. A serial search runs them inline.
+    const bool parallel = options.threads > 1 && unit_count > 1;
+    std::optional<obs::TraceSpan> span;
+    ThreadPool* pool = nullptr;
     std::unique_ptr<ThreadPool> private_pool;
-    if (pool == nullptr) {
-      private_pool = std::make_unique<ThreadPool>(
-          std::min<int>(options.threads, static_cast<int>(unit_count)));
-      pool = private_pool.get();
+    if (parallel) {
+      span.emplace("search.parallel");
+      pool = options.pool;
+      if (pool == nullptr) {
+        private_pool = std::make_unique<ThreadPool>(
+            std::min<int>(options.threads, static_cast<int>(unit_count)));
+        pool = private_pool.get();
+      }
     }
-
     // Pool threads have no ambient trace context; hand them this span's
     // so unit spans join the job's trace tree instead of floating free.
-    const obs::TraceContext unit_ctx = span.context();
-    std::vector<UnitOutcome> outcomes(unit_count);
-    std::vector<std::future<void>> inflight;
-
-    // On any exit — including an exception thrown out of a unit — stop
-    // stragglers and drain every scheduled future, so no task outlives
-    // `outcomes` (essential when running on serve's shared pool).
-    struct Drain {
-      std::atomic<bool>& stop;
-      std::vector<std::future<void>>& inflight;
-      ~Drain() {
-        stop.store(true, std::memory_order_relaxed);
-        for (auto& f : inflight) {
-          if (f.valid()) f.wait();
-        }
-      }
-    } drain{stop, inflight};
-
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(unit_count);
-    for (std::size_t u = 0; u < unit_count; ++u) {
-      jobs.push_back([&, u] {
-        if (stop.load(std::memory_order_relaxed)) return;
-        obs::TraceContextScope ctx_scope(unit_ctx);
-        obs::TraceSpan unit_span("search.parallel.unit");
-        unit_span.arg("unit", u);
-        outcomes[u] = run_unit(u);
-      });
+    const obs::TraceContext unit_ctx =
+        parallel ? span->context() : obs::TraceContext{};
+    ordered_fold(
+        pool, unit_count, stop,
+        [&](std::size_t u) -> UnitOutcome {
+          if (!parallel) {
+            if (cancel.armed() && cancel.triggered()) {
+              UnitOutcome none;  // cancelled before the unit began
+              none.cancelled = true;
+              return none;
+            }
+            return run_unit(u);
+          }
+          obs::TraceContextScope ctx_scope(unit_ctx);
+          obs::TraceSpan unit_span("search.parallel.unit");
+          unit_span.arg("unit", u);
+          return run_unit(u);
+        },
+        consume);
+    if (parallel) {
+      span->arg("threads", options.threads);
+      span->arg("units", unit_count);
+      span->arg("trials", out.trials);
     }
-    inflight = pool->submit_batch(std::move(jobs));
-
-    // Consume unit u as soon as it is ready. Waiting helps run queued
-    // tasks instead of idling — on a shared pool that may be other jobs'
-    // units.
-    for (std::size_t u = 0; u < unit_count && !reached_cap && !cancel_hit;
-         ++u) {
-      std::future<void>& f = inflight[u];
-      while (f.wait_for(std::chrono::seconds(0)) !=
-             std::future_status::ready) {
-        if (!pool->try_run_one()) f.wait();
-      }
-      f.get();  // rethrows a unit's exception
-      consume(u, std::move(outcomes[u]));
-    }
-    span.arg("threads", options.threads);
-    span.arg("units", unit_count);
-    span.arg("trials", out.trials);
   }
 
   pruned_counter.add(out.pruned_subtrees);

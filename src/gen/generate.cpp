@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <future>
 #include <limits>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "baseline/partition_builders.hpp"
@@ -19,9 +17,6 @@
 namespace chop::gen {
 
 namespace {
-
-/// Starts whose results commit together before the incumbent advances.
-constexpr int kWaveSize = 4;
 
 /// splitmix64-style mix so neighboring start indices decorrelate.
 std::uint64_t mix(std::uint64_t z) {
@@ -130,7 +125,8 @@ AreaMil2 total_area(const core::IntegrationResult& integration) {
   return area;
 }
 
-/// Result of one start's pipeline, committed at a wave barrier.
+/// Result of one start's pipeline, folded into the portfolio in start
+/// order.
 struct StartOutcome {
   bool valid = false;  ///< A cut was evaluated at all.
   Score best;
@@ -139,7 +135,6 @@ struct StartOutcome {
   std::vector<FrontierPoint> points;  ///< Local 3-D frontier fold.
   std::size_t evaluations = 0;
   std::size_t gated = 0;
-  bool killed = false;
   bool cancelled = false;
   std::vector<std::string> log;
 };
@@ -385,12 +380,10 @@ std::vector<VertexMove> boundary_candidates(const CoarseGraph& g,
   return moves;
 }
 
-/// Runs one portfolio start end to end. `incumbent` is the cross-start
-/// frontier committed before this start's wave began — the only
-/// cross-start state a start may read, which is what makes the outcome
-/// independent of thread scheduling.
-StartOutcome run_start(const GenContext& ctx, int start_index,
-                       core::ParetoFrontier incumbent) {
+/// Runs one portfolio start end to end. A start reads no other start's
+/// state (only the shared evaluator, whose hits never change a result),
+/// which is what makes the outcome independent of thread scheduling.
+StartOutcome run_start(const GenContext& ctx, int start_index) {
   obs::TraceSpan span("gen.start");
   span.arg("start", start_index);
   StartOutcome out;
@@ -511,19 +504,6 @@ StartOutcome run_start(const GenContext& ctx, int start_index,
     if (level == 0 || exhausted) break;
     assignment = h.project_one(level, assignment);
     --level;
-    // Early-kill against the wave-committed cross-start incumbent: a
-    // start that is still infeasible while someone already finished
-    // feasible, or whose best is strictly dominated, stops descending.
-    if (!incumbent.points().empty() &&
-        (!out.best.feasible ||
-         incumbent.dominates_strictly(out.best.ii, out.best.delay))) {
-      out.killed = true;
-      std::ostringstream os;
-      os << "killed at level " << level
-         << ": dominated by the committed incumbent";
-      out.log.push_back(os.str());
-      break;
-    }
     if (stop_requested(ctx)) {
       out.cancelled = true;
       break;
@@ -547,8 +527,6 @@ GenerateResult generate_partitions(const dfg::Graph& spec,
   obs::TraceSpan span("gen.generate");
   static obs::Counter& starts_counter =
       obs::MetricsRegistry::global().counter("gen.starts");
-  static obs::Counter& killed_counter =
-      obs::MetricsRegistry::global().counter("gen.starts_killed");
   static obs::Counter& evaluations_counter =
       obs::MetricsRegistry::global().counter("gen.evaluations");
   static obs::Counter& gated_counter =
@@ -638,9 +616,8 @@ GenerateResult generate_partitions(const dfg::Graph& spec,
     }
   }
 
-  // Portfolio: waves of starts, committed in start order. A start only
-  // reads the incumbent committed before its wave, so outcomes are
-  // independent of which worker runs what and when.
+  // Portfolio: every start runs independently, folded in start order,
+  // so the result does not depend on which worker runs what and when.
   core::ThreadPool* pool = options.pool;
   std::optional<core::ThreadPool> own_pool;
   if (pool == nullptr && options.threads > 1) {
@@ -648,71 +625,35 @@ GenerateResult generate_partitions(const dfg::Graph& spec,
     pool = &*own_pool;
   }
 
-  core::ParetoFrontier committed;
   Score best_score;
   bool have_best = false;
-
-  for (int wave = 0; wave * kWaveSize < options.num_starts; ++wave) {
-    const int first = wave * kWaveSize;
-    const int last = std::min(first + kWaveSize, options.num_starts);
-    std::vector<StartOutcome> outcomes(static_cast<std::size_t>(last - first));
-    if (pool != nullptr) {
-      std::vector<std::future<void>> futures;
-      for (int s = first; s < last; ++s) {
-        StartOutcome* slot = &outcomes[static_cast<std::size_t>(s - first)];
-        // The incumbent snapshot is copied into the task: reads need no lock.
-        futures.push_back(pool->submit([&ctx, s, slot, committed] {
-          *slot = run_start(ctx, s, committed);
-        }));
-      }
-      for (auto& f : futures) {
-        while (f.wait_for(std::chrono::seconds(0)) !=
-               std::future_status::ready) {
-          if (!pool->try_run_one()) std::this_thread::yield();
+  std::atomic<bool> stop{false};  // raised only when the fold unwinds
+  core::ordered_fold(
+      pool, static_cast<std::size_t>(options.num_starts), stop,
+      [&ctx](std::size_t s) { return run_start(ctx, static_cast<int>(s)); },
+      [&](std::size_t s, StartOutcome out) {
+        ++result.starts_run;
+        starts_counter.add();
+        result.evaluations += out.evaluations;
+        evaluations_counter.add(out.evaluations);
+        result.gated += out.gated;
+        gated_counter.add(out.gated);
+        result.cancelled = result.cancelled || out.cancelled;
+        sort_frontier(out.points);
+        for (FrontierPoint& p : out.points) {
+          fold_point(result.frontier, std::move(p));
         }
-        f.get();
-      }
-    } else {
-      for (int s = first; s < last; ++s) {
-        outcomes[static_cast<std::size_t>(s - first)] =
-            run_start(ctx, s, committed);
-      }
-    }
-
-    // Wave barrier: commit outcomes in start order.
-    for (int s = first; s < last; ++s) {
-      StartOutcome& out = outcomes[static_cast<std::size_t>(s - first)];
-      ++result.starts_run;
-      starts_counter.add();
-      result.evaluations += out.evaluations;
-      evaluations_counter.add(out.evaluations);
-      result.gated += out.gated;
-      gated_counter.add(out.gated);
-      if (out.killed) {
-        ++result.starts_killed;
-        killed_counter.add();
-      }
-      result.cancelled = result.cancelled || out.cancelled;
-      sort_frontier(out.points);
-      for (FrontierPoint& p : out.points) {
-        const Cycles ii = p.ii;
-        const Cycles delay = p.delay;
-        if (fold_point(result.frontier, std::move(p))) {
-          committed.insert(ii, delay);
+        if (out.valid && (!have_best || out.best.better_than(best_score))) {
+          have_best = true;
+          best_score = out.best;
+          result.members = std::move(out.members);
+          result.search = std::move(out.search);
         }
-      }
-      if (out.valid && (!have_best || out.best.better_than(best_score))) {
-        have_best = true;
-        best_score = out.best;
-        result.members = std::move(out.members);
-        result.search = std::move(out.search);
-      }
-      for (std::string& line : out.log) {
-        result.log.push_back("start " + std::to_string(s) + ": " +
-                             std::move(line));
-      }
-    }
-  }
+        for (std::string& line : out.log) {
+          result.log.push_back("start " + std::to_string(s) + ": " +
+                               std::move(line));
+        }
+      });
 
   CHOP_REQUIRE(have_best, "no valid cut could be generated");
   sort_frontier(result.frontier);

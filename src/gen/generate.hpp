@@ -15,10 +15,9 @@
 //     search() runs only on survivors.
 //  3. Starts run on the shared work-stealing ThreadPool and share one
 //     memoizing CandidateEvaluator, so identical candidate integrations
-//     across starts are cache hits. Start results commit in deterministic
-//     waves: a start only ever sees the cross-start incumbent committed
-//     before its wave began, so early-killing dominated starts cannot
-//     depend on thread scheduling.
+//     across starts are cache hits. Starts are independent — none reads
+//     another's progress — and their results fold in start order, so
+//     scheduling cannot change which cuts any start evaluates.
 //  4. Every feasible design of every evaluated cut folds into one
 //     cross-partitioning Pareto frontier over (area, II, delay).
 //
@@ -102,7 +101,9 @@ struct GenerateResult {
   std::size_t evaluations = 0;    ///< predict(+search) pipeline runs.
   std::size_t gated = 0;          ///< Candidates stopped at the prediction gate.
   std::size_t starts_run = 0;
-  std::size_t starts_killed = 0;  ///< Early-killed by the committed incumbent.
+  /// Always 0: starts are never cut short. Kept only because the
+  /// benchmark's generate workload still reads it.
+  std::size_t starts_killed = 0;
   std::size_t levels = 0;         ///< Coarsening hierarchy depth.
   std::size_t coarsest_vertices = 0;
   bool cancelled = false;

@@ -93,7 +93,6 @@ class ComponentLibrary {
   void set_mux_bit(BitCellSpec spec) { mux_bit_ = spec; }
 
   const TechnologyParams& technology() const { return technology_; }
-  void set_technology(TechnologyParams params) { technology_ = params; }
 
  private:
   std::vector<ModuleSpec> modules_;

@@ -114,8 +114,6 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-TraceContext current_trace_context() { return g_current_context; }
-
 std::uint64_t next_trace_id() {
   static std::atomic<std::uint64_t> next{0};
   return next.fetch_add(1, std::memory_order_relaxed) + 1;

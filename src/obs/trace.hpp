@@ -83,9 +83,6 @@ struct TraceContext {
   bool active() const { return trace_id != 0; }
 };
 
-/// The calling thread's current context (inactive when none installed).
-TraceContext current_trace_context();
-
 /// Process-unique nonzero trace id (sequential; cheap and deterministic).
 std::uint64_t next_trace_id();
 

@@ -423,8 +423,6 @@ JsonValue render_generate_result(const gen::GenerateResult& result,
   out.set("frontier", std::move(frontier));
   out.set("partitions", std::move(partitions));
   out.set("starts", JsonValue(static_cast<double>(result.starts_run)));
-  out.set("starts_killed",
-          JsonValue(static_cast<double>(result.starts_killed)));
   out.set("evaluations", JsonValue(static_cast<double>(result.evaluations)));
   out.set("gated", JsonValue(static_cast<double>(result.gated)));
   out.set("levels", JsonValue(static_cast<double>(result.levels)));

@@ -153,7 +153,7 @@ std::string error_response(const std::string& code, const std::string& message,
 JsonValue render_search_result(const core::SearchResult& result);
 
 /// The `generate` fragment of a generation job's result: portfolio stats
-/// (starts/killed/evaluations/gated), the (area, II, delay) frontier, and
+/// (starts/evaluations/gated), the (area, II, delay) frontier, and
 /// the best cut as partition member-name lists (resolvable against the
 /// submitted spec, e.g. to write a `partitions` section). Deterministic
 /// like the search fragment.

@@ -189,8 +189,7 @@ std::optional<std::string> check_subset(const std::vector<bool>& sub,
 std::string generation_digest(const gen::GenerateResult& r) {
   std::ostringstream out;
   out << std::hexfloat;
-  out << "starts=" << r.starts_run << " killed=" << r.starts_killed
-      << " evals=" << r.evaluations << " gated=" << r.gated
+  out << "starts=" << r.starts_run << " evals=" << r.evaluations << " gated=" << r.gated
       << " levels=" << r.levels << " coarse=" << r.coarsest_vertices
       << " cancelled=" << r.cancelled << '\n';
   const auto cut = [&out](const std::vector<std::vector<dfg::NodeId>>& parts) {

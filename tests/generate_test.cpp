@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <future>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -52,7 +54,7 @@ std::vector<chip::ChipInstance> test_chips(int k) {
 /// the determinism contract.
 std::string digest(const GenerateResult& r) {
   std::ostringstream os;
-  os << r.starts_run << "|" << r.starts_killed << "|" << r.evaluations << "|"
+  os << r.starts_run << "|" << r.evaluations << "|"
      << r.gated << "|" << r.levels << "|" << r.coarsest_vertices << "|"
      << r.cancelled << "\n";
   for (const FrontierPoint& p : r.frontier) {
@@ -278,6 +280,41 @@ TEST(Generate, SharedEvaluatorGetsCrossStartHits) {
   EXPECT_GT(evaluator.stats().hits, 0u);
 }
 
+TEST(Generate, LateStartsRefineToTheBaseGraph) {
+  // Eight starts on a 60-op DAG. A version that stopped starts between
+  // levels once an earlier start's (II, delay) frontier strictly dominated
+  // them left start 5 with no frontier point; refined to the base graph,
+  // start 5 finds II 60 at a smaller area than start 2's II-60 design.
+  const dfg::BenchmarkGraph bg = test_workload(25, 60, 8);
+  static const lib::ComponentLibrary library =
+      lib::dac91_experiment_library();
+  GenerateOptions options;
+  options.num_starts = 8;
+  options.budget = 12;
+  const GenerateResult r = generate_partitions(
+      bg.graph, library, test_chips(2), {}, test_config(), options);
+  EXPECT_TRUE(std::any_of(r.frontier.begin(), r.frontier.end(),
+                          [](const FrontierPoint& p) { return p.start == 5; }));
+  // The frontier that version returned, as (II, delay, area): every point
+  // is still dominated-or-equaled.
+  const struct {
+    Cycles ii;
+    Cycles delay;
+    AreaMil2 area;
+  } stopped_frontier[] = {
+      {60, 142, 157193.7}, {70, 132, 156572.2},  {70, 148, 153336.4},
+      {70, 152, 142526.95}, {80, 142, 143577.45}, {140, 203, 131136.7},
+      {150, 202, 134219.5}, {150, 212, 130806.8}, {170, 231, 122789.3}};
+  for (const auto& q : stopped_frontier) {
+    EXPECT_TRUE(std::any_of(r.frontier.begin(), r.frontier.end(),
+                            [&q](const FrontierPoint& p) {
+                              return p.ii <= q.ii && p.delay <= q.delay &&
+                                     p.area <= q.area + 0.01;
+                            }))
+        << "II=" << q.ii << " delay=" << q.delay << " area=" << q.area;
+  }
+}
+
 // --- Determinism contract ----------------------------------------------
 
 TEST(GenerateDeterminism, ByteIdenticalAcrossThreadCounts) {
@@ -335,6 +372,36 @@ TEST(GenerateDeterminism, ByteIdenticalUnderAdversarialScheduling) {
     core::ThreadPool::set_scheduler_chaos_for_testing(0);
     EXPECT_EQ(digest(chaotic), reference) << "chaos seed " << seed;
   }
+}
+
+TEST(GenerateDeterminism, ThrowingStartDrainsExternalPool) {
+  const dfg::BenchmarkGraph bg = test_workload(34, 24, 6);
+  static const lib::ComponentLibrary library =
+      lib::dac91_experiment_library();
+  // Park the pool's only worker, so every start stays queued until the
+  // calling thread runs it.
+  core::ThreadPool pool(1);
+  std::promise<void> parked;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::future<void> parking = pool.submit([&parked, released] {
+    parked.set_value();
+    released.wait();
+  });
+  parked.get_future().wait();
+
+  GenerateOptions options;
+  options.num_starts = 8;
+  options.pool = &pool;
+  options.search.threads = 0;  // every start's first search throws
+  EXPECT_THROW(generate_partitions(bg.graph, library, test_chips(2), {},
+                                   test_config(), options),
+               Error);
+  // The unwinding portfolio drained its batch: no start is left queued to
+  // run against the generation state that no longer exists.
+  EXPECT_FALSE(pool.try_run_one());
+  release.set_value();
+  parking.get();
 }
 
 }  // namespace

@@ -395,8 +395,7 @@ int main(int argc, char** argv) {
           project.config, gen_options);
       for (const std::string& line : r.log) std::cout << "  " << line << "\n";
       std::cout << "generate: " << r.starts_run << " start(s), "
-                << r.starts_killed << " killed, " << r.evaluations
-                << " evaluation(s), " << r.gated << " gated, frontier "
+                << r.evaluations << " evaluation(s), " << r.gated << " gated, frontier "
                 << r.frontier.size() << " point(s) (" << gen_timer.elapsed_ms()
                 << " ms)\n";
       for (const gen::FrontierPoint& p : r.frontier) {

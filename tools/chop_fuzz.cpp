@@ -44,6 +44,7 @@
 #include "core/eval/bound_state.hpp"
 #include "io/spec_format.hpp"
 #include "io/spec_writer.hpp"
+#include "obs/trace.hpp"
 #include "testing/oracles.hpp"
 #include "testing/scenario.hpp"
 #include "testing/shrink.hpp"
@@ -87,26 +88,6 @@ bool parse_size(const std::string& text, std::size_t& out) {
   return true;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 struct RunSummary {
   std::size_t requested = 0;
   std::size_t ran = 0;
@@ -136,7 +117,7 @@ struct RunSummary {
 std::string to_json(const Args& args, const RunSummary& s) {
   std::ostringstream os;
   os << "{\n";
-  os << "  \"seed\": \"" << json_escape(args.seed_text) << "\",\n";
+  os << "  \"seed\": \"" << obs::json_escape(args.seed_text) << "\",\n";
   os << "  \"seed_value\": " << args.seed << ",\n";
   os << "  \"scenarios\": " << s.requested << ",\n";
   os << "  \"ran\": " << s.ran << ",\n";
@@ -149,16 +130,16 @@ std::string to_json(const Args& args, const RunSummary& s) {
     const auto& f = s.failures[i];
     os << (i == 0 ? "\n" : ",\n");
     os << "    {\"scenario\": " << f.index << ", \"seed\": " << f.scenario_seed
-       << ", \"oracle\": \"" << json_escape(f.oracle) << "\", \"detail\": \""
-       << json_escape(f.detail) << "\", \"repro\": \""
-       << json_escape(f.repro_file) << "\", \"shrink_steps\": "
-       << f.shrink_steps << "}";
+       << ", \"oracle\": \"" << obs::json_escape(f.oracle)
+       << "\", \"detail\": \"" << obs::json_escape(f.detail)
+       << "\", \"repro\": \"" << obs::json_escape(f.repro_file)
+       << "\", \"shrink_steps\": " << f.shrink_steps << "}";
   }
   os << (s.failures.empty() ? "],\n" : "\n  ],\n");
   os << "  \"oracles_failed\": [";
   bool first_oracle = true;
   for (const std::string& oracle : s.oracles_failed) {
-    os << (first_oracle ? "\"" : ", \"") << json_escape(oracle) << "\"";
+    os << (first_oracle ? "\"" : ", \"") << obs::json_escape(oracle) << "\"";
     first_oracle = false;
   }
   os << "],\n";
