@@ -14,6 +14,7 @@
 #include "baseline/kernighan_lin.hpp"
 #include "baseline/partition_builders.hpp"
 #include "common.hpp"
+#include "dfg/generator.hpp"
 #include "dfg/subgraph.hpp"
 
 namespace {
@@ -99,6 +100,24 @@ void BM_kl_partition(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_kl_partition);
+
+// One KL bisection of the generate_1k family DAG (random_dag seed 7001:
+// 1,000 ops, depth 20, width 16), the cut generation's start 1 seeds from.
+void BM_kl_bisect_1k(benchmark::State& state) {
+  Rng dag_rng(7001);
+  dfg::RandomDagSpec spec;
+  spec.operations = 1000;
+  spec.depth = 20;
+  spec.width = 16;
+  spec.extra_inputs = 8;
+  const dfg::BenchmarkGraph bg = dfg::random_dag(dag_rng, spec);
+  const auto ops = bg.all_operations();
+  for (auto _ : state) {
+    Rng rng(5);
+    benchmark::DoNotOptimize(baseline::kl_partition(bg.graph, ops, 2, rng));
+  }
+}
+BENCHMARK(BM_kl_bisect_1k)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

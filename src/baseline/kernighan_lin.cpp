@@ -1,8 +1,7 @@
 #include "baseline/kernighan_lin.hpp"
 
 #include <algorithm>
-#include <map>
-#include <numeric>
+#include <tuple>
 
 namespace chop::baseline {
 
@@ -12,28 +11,41 @@ KlGraph KlGraph::from_operations(const dfg::Graph& g,
   out.vertex_count = static_cast<int>(ops.size());
   out.adjacency.resize(ops.size());
 
-  std::map<dfg::NodeId, int> vertex_of;
+  std::vector<int> vertex_of(g.node_count(), -1);
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    CHOP_REQUIRE(!vertex_of.count(ops[i]), "duplicate operation in KL input");
-    vertex_of[ops[i]] = static_cast<int>(i);
+    CHOP_REQUIRE(
+        ops[i] >= 0 && static_cast<std::size_t>(ops[i]) < g.node_count(),
+        "KL input names a node outside the graph");
+    int& slot = vertex_of[static_cast<std::size_t>(ops[i])];
+    CHOP_REQUIRE(slot < 0, "duplicate operation in KL input");
+    slot = static_cast<int>(i);
   }
 
-  std::map<std::pair<int, int>, Bits> weight;
+  struct Link {
+    int a, b;
+    Bits w;
+  };
+  std::vector<Link> links;
   for (std::size_t e = 0; e < g.edge_count(); ++e) {
     const dfg::Edge& edge = g.edge(static_cast<dfg::EdgeId>(e));
-    auto s = vertex_of.find(edge.src);
-    auto d = vertex_of.find(edge.dst);
-    if (s == vertex_of.end() || d == vertex_of.end()) continue;
-    const int a = std::min(s->second, d->second);
-    const int b = std::max(s->second, d->second);
-    if (a == b) continue;
-    weight[{a, b}] += edge.width;
+    const int s = vertex_of[static_cast<std::size_t>(edge.src)];
+    const int d = vertex_of[static_cast<std::size_t>(edge.dst)];
+    if (s < 0 || d < 0 || s == d) continue;
+    links.push_back({std::min(s, d), std::max(s, d), edge.width});
   }
-  for (const auto& [pair, w] : weight) {
-    out.adjacency[static_cast<std::size_t>(pair.first)].emplace_back(
-        pair.second, w);
-    out.adjacency[static_cast<std::size_t>(pair.second)].emplace_back(
-        pair.first, w);
+  std::sort(links.begin(), links.end(), [](const Link& x, const Link& y) {
+    return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+  });
+  // Parallel edges merge; walking the (a, b)-sorted pairs fills every
+  // adjacency list in ascending neighbour order.
+  for (std::size_t i = 0; i < links.size();) {
+    const int a = links[i].a, b = links[i].b;
+    Bits w = 0;
+    for (; i < links.size() && links[i].a == a && links[i].b == b; ++i) {
+      w += links[i].w;
+    }
+    out.adjacency[static_cast<std::size_t>(a)].emplace_back(b, w);
+    out.adjacency[static_cast<std::size_t>(b)].emplace_back(a, w);
   }
   return out;
 }
@@ -82,12 +94,44 @@ Bits d_value(const KlGraph& g, const std::vector<int>& side, int v) {
   return external - internal;
 }
 
-/// Weight between two vertices (0 if not adjacent).
-Bits edge_weight(const KlGraph& g, int a, int b) {
-  for (const auto& [u, w] : g.adjacency[static_cast<std::size_t>(a)]) {
-    if (u == b) return w;
+/// One swap of a KL pass: the unlocked pair (a, b), a on side 0 and b on
+/// side 1, that maximizes D[a] + D[b] - 2 w(a, b); ties go to the
+/// lexicographically smallest (a, b).
+struct Swap {
+  int a = -1, b = -1;
+  Bits gain = 0;
+
+  bool beaten_by(Bits g, int x, int y) const {
+    return a < 0 || g > gain ||
+           (g == gain && std::pair{x, y} < std::pair{a, b});
   }
-  return 0;
+};
+
+/// Best swap between the unlocked vertices `side0` and `side1`, both sorted
+/// by (D desc, index asc). Since every weight is non-negative, D[a] + D[b]
+/// bounds the gain of (a, b) and only falls along either list, so a bound
+/// that cannot beat the incumbent ends the scan of the row (and, at a row's
+/// first entry, of every later row). `row` is all zero on entry and exit.
+Swap best_swap(const KlGraph& g, const std::vector<Bits>& d,
+               const std::vector<int>& side0, const std::vector<int>& side1,
+               std::vector<Bits>& row) {
+  Swap best;
+  if (side1.empty()) return best;
+  const Bits max_d1 = d[static_cast<std::size_t>(side1.front())];
+  for (const int a : side0) {
+    const Bits da = d[static_cast<std::size_t>(a)];
+    if (!best.beaten_by(da + max_d1, a, side1.front())) break;
+    const auto& adj = g.adjacency[static_cast<std::size_t>(a)];
+    for (const auto& [u, w] : adj) row[static_cast<std::size_t>(u)] = w;
+    for (const int b : side1) {
+      const Bits bound = da + d[static_cast<std::size_t>(b)];
+      if (!best.beaten_by(bound, a, b)) break;
+      const Bits gain = bound - 2 * row[static_cast<std::size_t>(b)];
+      if (best.beaten_by(gain, a, b)) best = {a, b, gain};
+    }
+    for (const auto& [u, w] : adj) row[static_cast<std::size_t>(u)] = 0;
+  }
+  return best;
 }
 
 }  // namespace
@@ -99,57 +143,55 @@ KlResult kernighan_lin(const KlGraph& g, std::vector<int> initial) {
       std::count(initial.begin(), initial.end(), 1));
   CHOP_REQUIRE(std::abs(2 * ones - g.vertex_count) <= 1,
                "KL initial assignment must be balanced");
+  for (const int s : initial) {
+    CHOP_REQUIRE(s == 0 || s == 1, "KL initial assignment must be 0/1");
+  }
+  // The pair scan's early exit is sound only for non-negative weights.
+  for (const auto& adj : g.adjacency) {
+    for (const auto& [u, w] : adj) {
+      CHOP_REQUIRE(w >= 0, "KL needs non-negative edge weights");
+    }
+  }
 
+  const auto n = static_cast<std::size_t>(g.vertex_count);
   KlResult result;
   result.side = std::move(initial);
+  std::vector<Bits> d(n);
+  std::vector<Bits> row(n, 0);
 
   while (true) {
     ++result.passes;
-    std::vector<int> side = result.side;
-    std::vector<bool> locked(static_cast<std::size_t>(g.vertex_count), false);
-    std::vector<Bits> d(static_cast<std::size_t>(g.vertex_count));
+    const std::vector<int>& side = result.side;  // fixed during the pass
+    std::vector<int> unlocked[2];
     for (int v = 0; v < g.vertex_count; ++v) {
       d[static_cast<std::size_t>(v)] = d_value(g, side, v);
+      unlocked[side[static_cast<std::size_t>(v)]].push_back(v);
     }
+    const auto by_d_desc = [&d](int x, int y) {
+      const Bits dx = d[static_cast<std::size_t>(x)];
+      const Bits dy = d[static_cast<std::size_t>(y)];
+      return dx != dy ? dx > dy : x < y;
+    };
 
-    std::vector<std::pair<int, int>> swaps;  // chosen (a, b) per step
-    std::vector<Bits> gains;
-
+    std::vector<Swap> swaps;
     const int steps = g.vertex_count / 2;
     for (int step = 0; step < steps; ++step) {
-      Bits best_gain = std::numeric_limits<Bits>::min();
-      int best_a = -1, best_b = -1;
-      for (int a = 0; a < g.vertex_count; ++a) {
-        if (locked[static_cast<std::size_t>(a)] ||
-            side[static_cast<std::size_t>(a)] != 0) {
-          continue;
-        }
-        for (int b = 0; b < g.vertex_count; ++b) {
-          if (locked[static_cast<std::size_t>(b)] ||
-              side[static_cast<std::size_t>(b)] != 1) {
-            continue;
-          }
-          const Bits gain = d[static_cast<std::size_t>(a)] +
-                            d[static_cast<std::size_t>(b)] -
-                            2 * edge_weight(g, a, b);
-          if (gain > best_gain) {
-            best_gain = gain;
-            best_a = a;
-            best_b = b;
-          }
-        }
-      }
-      if (best_a < 0) break;  // one side ran out of unlocked vertices
-      swaps.emplace_back(best_a, best_b);
-      gains.push_back(best_gain);
-      locked[static_cast<std::size_t>(best_a)] = true;
-      locked[static_cast<std::size_t>(best_b)] = true;
-      // Update D values as if the swap happened.
-      std::swap(side[static_cast<std::size_t>(best_a)],
-                side[static_cast<std::size_t>(best_b)]);
-      for (int v = 0; v < g.vertex_count; ++v) {
-        if (!locked[static_cast<std::size_t>(v)]) {
-          d[static_cast<std::size_t>(v)] = d_value(g, side, v);
+      std::sort(unlocked[0].begin(), unlocked[0].end(), by_d_desc);
+      std::sort(unlocked[1].begin(), unlocked[1].end(), by_d_desc);
+      const Swap s = best_swap(g, d, unlocked[0], unlocked[1], row);
+      if (s.a < 0) break;  // one side ran out of unlocked vertices
+      swaps.push_back(s);
+      std::erase(unlocked[0], s.a);
+      std::erase(unlocked[1], s.b);
+      // A moved vertex's edges to its old side turn external (+2w on the
+      // neighbour's D) and those to its new side internal (-2w). Locked
+      // neighbours' D goes stale harmlessly: it is not read again before
+      // the next pass recomputes it.
+      for (const int moved : {s.a, s.b}) {
+        const auto m = static_cast<std::size_t>(moved);
+        for (const auto& [u, w] : g.adjacency[m]) {
+          d[static_cast<std::size_t>(u)] +=
+              side[static_cast<std::size_t>(u)] == side[m] ? 2 * w : -2 * w;
         }
       }
     }
@@ -157,8 +199,8 @@ KlResult kernighan_lin(const KlGraph& g, std::vector<int> initial) {
     // Best prefix of the swap sequence.
     Bits best_total = 0, running = 0;
     std::size_t best_k = 0;
-    for (std::size_t k = 0; k < gains.size(); ++k) {
-      running += gains[k];
+    for (std::size_t k = 0; k < swaps.size(); ++k) {
+      running += swaps[k].gain;
       if (running > best_total) {
         best_total = running;
         best_k = k + 1;
@@ -166,8 +208,8 @@ KlResult kernighan_lin(const KlGraph& g, std::vector<int> initial) {
     }
     if (best_total <= 0) break;  // no improvement: done
     for (std::size_t k = 0; k < best_k; ++k) {
-      std::swap(result.side[static_cast<std::size_t>(swaps[k].first)],
-                result.side[static_cast<std::size_t>(swaps[k].second)]);
+      std::swap(result.side[static_cast<std::size_t>(swaps[k].a)],
+                result.side[static_cast<std::size_t>(swaps[k].b)]);
     }
   }
 
@@ -190,7 +232,7 @@ std::vector<std::vector<dfg::NodeId>> kl_partition(
     }
     CHOP_REQUIRE(parts[largest].size() >= 2,
                  "cannot split a single-operation partition");
-    const std::vector<dfg::NodeId> victim = parts[largest];
+    const std::vector<dfg::NodeId> victim = std::move(parts[largest]);
     const KlGraph kg = KlGraph::from_operations(g, victim);
     const KlResult kl =
         kernighan_lin(kg, random_bisection(kg.vertex_count, rng));

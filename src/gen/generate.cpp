@@ -396,10 +396,11 @@ StartOutcome run_start(const GenContext& ctx, int start_index) {
                                  obs::SearchPhase::kGenInitial);
   std::vector<int> assignment;
   std::string seed_name;
-  // The KL seed sweeps the *base* graph, which is quadratic-ish in the
-  // operation count — worth it on paper-sized workloads, a scaling hazard
-  // past a few thousand ops (where the coarse slab + refinement does the
-  // work instead).
+  obs::TraceSpan seed_span("gen.seed");
+  // The KL seed cuts the *base* graph: 45-95 ms on perfbench's 1k-op
+  // generate_1k DAGs (Release). Past the cap the coarse slab + refinement
+  // does the work instead; lifting the cap changes the output of larger
+  // inputs.
   constexpr std::size_t kMaxKlSeedOps = 2048;
   if (start_index == 1 && h.ops.size() <= kMaxKlSeedOps &&
       static_cast<int>(h.ops.size()) >= 2 * ctx.k) {
@@ -419,6 +420,8 @@ StartOutcome run_start(const GenContext& ctx, int start_index) {
     assignment = level_order_assignment(ctx);
     seed_name = "coarse level-order cut";
   }
+  seed_span.arg("seed", seed_name);
+  seed_span.finish();
 
   // Start 0 also scores the plain level-order cut of the full graph — the
   // single-level baseline the multilevel engine must dominate or equal.

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <future>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -20,6 +21,7 @@
 #include "dfg/generator.hpp"
 #include "gen/coarsen.hpp"
 #include "library/experiment_library.hpp"
+#include "obs/trace.hpp"
 
 namespace chop::gen {
 namespace {
@@ -278,6 +280,54 @@ TEST(Generate, SharedEvaluatorGetsCrossStartHits) {
   // integration one search already computed comes back as a hit in the
   // next search that needs it.
   EXPECT_GT(evaluator.stats().hits, 0u);
+}
+
+TEST(Generate, SeedSpanTimesEachStartsSeedCut) {
+  struct Sink : obs::TraceSink {
+    void event(const obs::TraceEvent& e) override {
+      std::lock_guard<std::mutex> lock(mu);
+      events.push_back(e);
+    }
+    std::mutex mu;
+    std::vector<obs::TraceEvent> events;
+  } sink;
+  const dfg::BenchmarkGraph bg = test_workload(25, 24, 6);
+  static const lib::ComponentLibrary library =
+      lib::dac91_experiment_library();
+  GenerateOptions options;
+  options.num_starts = 3;
+  options.budget = 2;
+  obs::install_trace_sink(&sink);
+  struct Uninstall {
+    ~Uninstall() { obs::install_trace_sink(nullptr); }
+  } uninstall;
+  generate_partitions(bg.graph, library, test_chips(2), {}, test_config(),
+                      options);
+
+  std::vector<obs::TraceEvent> starts, seeds;
+  for (const obs::TraceEvent& e : sink.events) {
+    if (e.name == "gen.start") starts.push_back(e);
+    if (e.name == "gen.seed") seeds.push_back(e);
+  }
+  ASSERT_EQ(starts.size(), 3u);
+  ASSERT_EQ(seeds.size(), 3u);
+  std::multiset<std::string> names;
+  for (const obs::TraceEvent& seed : seeds) {
+    names.insert(seed.args_json);
+    // Each seed span lies inside one start span on its thread.
+    EXPECT_EQ(std::count_if(starts.begin(), starts.end(),
+                            [&](const obs::TraceEvent& s) {
+                              return s.tid == seed.tid &&
+                                     s.ts_us <= seed.ts_us &&
+                                     seed.ts_us + seed.dur_us <=
+                                         s.ts_us + s.dur_us;
+                            }),
+              1);
+  }
+  EXPECT_EQ(names, (std::multiset<std::string>{
+                       "\"seed\":\"coarse level-order cut\"",
+                       "\"seed\":\"kernighan-lin cut (lifted)\"",
+                       "\"seed\":\"random coarse cut\""}));
 }
 
 TEST(Generate, LateStartsRefineToTheBaseGraph) {
