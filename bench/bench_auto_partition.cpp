@@ -9,6 +9,7 @@
 #include "baseline/partition_builders.hpp"
 #include "common.hpp"
 #include "gen/generate.hpp"
+#include "util/numbered.hpp"
 
 namespace {
 
@@ -25,7 +26,7 @@ core::ChopConfig exp1_config() {
 std::vector<chip::ChipInstance> chips(int n) {
   std::vector<chip::ChipInstance> out;
   for (int i = 0; i < n; ++i) {
-    out.push_back({"c" + std::to_string(i), chip::mosis_package_84()});
+    out.push_back({numbered("c", i), chip::mosis_package_84()});
   }
   return out;
 }
@@ -46,7 +47,7 @@ void manual_row(TablePrinter& table, const std::string& name,
                 const std::vector<std::vector<dfg::NodeId>>& cuts) {
   core::Partitioning pt(graph, chips(static_cast<int>(cuts.size())));
   for (std::size_t p = 0; p < cuts.size(); ++p) {
-    pt.add_partition("P" + std::to_string(p + 1), cuts[p],
+    pt.add_partition(numbered("P", p + 1), cuts[p],
                      static_cast<int>(p));
   }
   core::ChopSession session(bench::experiment_library(), std::move(pt),

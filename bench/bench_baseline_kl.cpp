@@ -16,6 +16,7 @@
 #include "common.hpp"
 #include "dfg/generator.hpp"
 #include "dfg/subgraph.hpp"
+#include "util/numbered.hpp"
 
 namespace {
 
@@ -35,11 +36,11 @@ void evaluate(const std::string& name,
               const dfg::Graph& graph, TablePrinter& table) {
   std::vector<chip::ChipInstance> chips;
   for (std::size_t c = 0; c < parts.size(); ++c) {
-    chips.push_back({"c" + std::to_string(c), chip::mosis_package_84()});
+    chips.push_back({numbered("c", c), chip::mosis_package_84()});
   }
   core::Partitioning pt(graph, std::move(chips));
   for (std::size_t p = 0; p < parts.size(); ++p) {
-    pt.add_partition("P" + std::to_string(p + 1), parts[p],
+    pt.add_partition(numbered("P", p + 1), parts[p],
                      static_cast<int>(p));
   }
   core::ChopConfig config;

@@ -23,6 +23,7 @@
 #include "common.hpp"
 #include "dfg/generator.hpp"
 #include "gen/generate.hpp"
+#include "util/numbered.hpp"
 
 namespace {
 
@@ -46,7 +47,7 @@ chip::ChipPackage mega_package() {
 std::vector<chip::ChipInstance> mega_chips(int n) {
   std::vector<chip::ChipInstance> out;
   for (int i = 0; i < n; ++i) {
-    out.push_back({"c" + std::to_string(i), mega_package()});
+    out.push_back({numbered("c", i), mega_package()});
   }
   return out;
 }
@@ -107,7 +108,7 @@ BaselineScore level_order_baseline(const dfg::BenchmarkGraph& bg, int k) {
       bg.graph, bg.all_operations(), k);
   core::Partitioning pt(bg.graph, mega_chips(k));
   for (std::size_t p = 0; p < cuts.size(); ++p) {
-    pt.add_partition("P" + std::to_string(p + 1), cuts[p],
+    pt.add_partition(numbered("P", p + 1), cuts[p],
                      static_cast<int>(p));
   }
   core::ChopSession session(bench::experiment_library(), std::move(pt),

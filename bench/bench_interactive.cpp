@@ -7,8 +7,8 @@
 // each run as round trips on one long-lived session — apply(delta) →
 // predict_partitions() → search(), then the same for the inverse delta —
 // versus a cold session+predict+search at every visited state. The warm
-// side re-runs BAD only for dirtied partitions and keeps the session
-// evaluator's memo. Three properties are checked/reported per group:
+// side re-runs BAD only for partitions whose inputs changed and keeps the
+// session evaluator's memo. Three properties are checked/reported per group:
 //  * byte identity — render_search_result() of the incremental run must
 //    equal the cold run's at every state (the correctness oracle);
 //  * work reduction — the incremental path must perform strictly fewer

@@ -21,6 +21,7 @@
 #include "dfg/benchmarks.hpp"
 #include "obs/quantile.hpp"
 #include "serve/server.hpp"
+#include "util/numbered.hpp"
 
 namespace chop::bench {
 namespace {
@@ -35,12 +36,12 @@ io::Project ar_project(int nparts) {
   project.library = experiment_library();
   for (int c = 0; c < nparts; ++c) {
     project.chips.push_back(
-        {"chip" + std::to_string(c), chip::mosis_package_84()});
+        {numbered("chip", c), chip::mosis_package_84()});
   }
   const auto cuts = nparts == 2 ? dfg::ar_two_way_cut(ar)
                                 : dfg::ar_three_way_cut(ar);
   for (int p = 0; p < nparts; ++p) {
-    project.partitions.push_back({"P" + std::to_string(p + 1),
+    project.partitions.push_back({numbered("P", p + 1),
                                   cuts[static_cast<std::size_t>(p)], p});
   }
   project.config.style.clocking = bad::ClockingStyle::SingleCycle;

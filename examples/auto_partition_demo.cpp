@@ -13,6 +13,7 @@
 #include "dfg/benchmarks.hpp"
 #include "gen/generate.hpp"
 #include "library/experiment_library.hpp"
+#include "util/numbered.hpp"
 
 int main() {
   using namespace chop;
@@ -52,7 +53,7 @@ int main() {
   std::cout << "Step 2: automatic memory placement on the chosen cut\n";
   core::Partitioning pt(arm.graph, chips, memory);
   for (std::size_t p = 0; p < auto_result.members.size(); ++p) {
-    pt.add_partition("P" + std::to_string(p + 1), auto_result.members[p],
+    pt.add_partition(numbered("P", p + 1), auto_result.members[p],
                      static_cast<int>(p));
   }
   core::ChopSession session(library, std::move(pt), config);
@@ -64,7 +65,7 @@ int main() {
     std::cout << "  " << block.name << " -> "
               << (mem_result.placement[b] == chip::kOffTheShelfChip
                       ? std::string("off-the-shelf chip")
-                      : "chip" + std::to_string(mem_result.placement[b]))
+                      : numbered("chip", mem_result.placement[b]))
               << "\n";
   }
 

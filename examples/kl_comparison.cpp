@@ -14,6 +14,7 @@
 #include "dfg/benchmarks.hpp"
 #include "dfg/subgraph.hpp"
 #include "library/experiment_library.hpp"
+#include "util/numbered.hpp"
 
 namespace {
 
@@ -35,11 +36,11 @@ Outcome evaluate(const dfg::Graph& graph,
   }
   std::vector<chip::ChipInstance> chips;
   for (std::size_t c = 0; c < parts.size(); ++c) {
-    chips.push_back({"c" + std::to_string(c), chip::mosis_package_84()});
+    chips.push_back({numbered("c", c), chip::mosis_package_84()});
   }
   core::Partitioning pt(graph, std::move(chips));
   for (std::size_t p = 0; p < parts.size(); ++p) {
-    pt.add_partition("P" + std::to_string(p + 1), parts[p],
+    pt.add_partition(numbered("P", p + 1), parts[p],
                      static_cast<int>(p));
   }
   core::ChopConfig config;

@@ -28,6 +28,8 @@ struct DesignConstraints {
     return system_power_mw > 0.0 || chip_power_mw > 0.0;
   }
 
+  bool operator==(const DesignConstraints&) const = default;
+
   void validate() const {
     CHOP_REQUIRE(performance_ns > 0.0 && delay_ns > 0.0,
                  "constraints must be positive");
@@ -43,6 +45,8 @@ struct FeasibilityCriteria {
   double performance_prob = 1.0;
   double delay_prob = 0.8;
   double power_prob = 0.9;
+
+  bool operator==(const FeasibilityCriteria&) const = default;
 
   void validate() const {
     CHOP_REQUIRE(area_prob > 0.0 && area_prob <= 1.0 &&

@@ -4,21 +4,12 @@
 // operation between partitions, retarget a partition's chip (swap the
 // chip's package/library, or move a memory block), change the clock
 // family, and tighten or loosen the constraint budget. An EvalDelta names
-// one such edit as data, so the session can apply it, diff the
-// evaluation-context fingerprints before and after, and keep the follow-up
-// predict + search incremental: per-partition prediction reuse, and a warm
-// CandidateEvaluator that serves every revisited state from its full-key
-// memo.
-//
-// A DeltaImpact summarises what actually changed — the contract consumers
-// rely on: `noop` deltas keep the stored predictions valid, so re-predicting
-// reruns no BAD; and `dirty_partitions` names the prediction lists that
-// genuinely need a fresh BAD pass.
+// one such edit as data, and apply_delta() is the one definition of what
+// it does: ChopSession::apply() runs it on the session's state, and the
+// serving layer's `revise` runs it on a submitted project. What an edit
+// made stale is not recorded here; ChopSession::predict_partitions()
+// decides that by comparing each partition's inputs exactly.
 #pragma once
-
-#include <cstdint>
-#include <string>
-#include <vector>
 
 #include "bad/style.hpp"
 #include "core/constraints.hpp"
@@ -70,29 +61,6 @@ struct EvalDelta {
   static EvalDelta set_clocking(bad::ArchitectureStyle style,
                                 bad::ClockSpec clocks);
   static EvalDelta set_constraints(DesignConstraints constraints);
-};
-
-/// What one apply(EvalDelta) actually changed, from fingerprint diffs.
-struct DeltaImpact {
-  std::uint64_t revision = 0;  ///< Session revision after the apply.
-
-  /// Full-context fingerprint unchanged: the edit re-stated the current
-  /// state. The stored predictions stay valid.
-  bool noop = false;
-
-  /// Per-partition flag: the partition's prediction inputs (members, chip
-  /// package, clocks, or the pruning budget) changed, so its list must be
-  /// recomputed.
-  std::vector<bool> dirty_partitions;
-
-  std::uint64_t old_fingerprint = 0;
-  std::uint64_t new_fingerprint = 0;
-
-  std::size_t dirty_count() const {
-    std::size_t n = 0;
-    for (bool d : dirty_partitions) n += d ? 1 : 0;
-    return n;
-  }
 };
 
 /// Applies `delta` to the loose session state through the Partitioning

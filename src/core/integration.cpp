@@ -42,7 +42,7 @@ int mux_levels(int transfers) {
                         : static_cast<int>(std::ceil(std::log2(transfers)));
 }
 
-/// Per-thread scratch arena for integrate_core(). The search evaluates
+/// Per-thread scratch arena for integrate(). The search evaluates
 /// thousands of combinations per second and every one used to allocate a
 /// dozen vectors, a map and a task graph; the arena keeps those buffers
 /// (and an SoA StatBank for the chip area/power accumulators) alive across
@@ -67,19 +67,9 @@ EvalScratch& scratch_for_thread() {
   return scratch;
 }
 
-/// The constraint-independent half of an integration: transfer plans, the
-/// urgency schedule, buffers, per-chip areas and powers, the adjusted clock
-/// and the absolute performance/delay figures. `structural_fail` marks
-/// combinations that die before the verdict — rate mismatch, pin
-/// exhaustion, transfers that cannot fit the initiation interval, an
-/// infeasible urgency schedule. Those carry their final reason in
-/// `partial` already; apply_verdict() only accounts them.
-struct IntegrationCore {
-  IntegrationResult partial;
-  bool structural_fail = false;
-};
+}  // namespace
 
-IntegrationCore integrate_core(
+IntegrationResult integrate(
     const EvalContext& ctx,
     const std::vector<const bad::DesignPrediction*>& selection,
     Cycles ii_main) {
@@ -100,17 +90,18 @@ IntegrationCore integrate_core(
 
   static obs::Counter& attempts =
       obs::MetricsRegistry::global().counter("integration.attempts");
+  static obs::Counter& infeasible =
+      obs::MetricsRegistry::global().counter("integration.infeasible");
   attempts.add();
 
   EvalScratch& scratch = scratch_for_thread();
-  IntegrationCore core;
-  IntegrationResult& out = core.partial;
+  IntegrationResult out;
   out.ii_main = ii_main;
   auto fail = [&](std::string why) {
-    core.structural_fail = true;
+    infeasible.add();
     out.feasible = false;
     out.reason = std::move(why);
-    return std::move(core);
+    return std::move(out);
   };
 
   if (!rates_compatible(selection)) {
@@ -387,36 +378,10 @@ IntegrationCore integrate_core(
       out.adjusted_clock_ns * static_cast<double>(out.ii_main);
   out.delay_ns =
       out.adjusted_clock_ns * static_cast<double>(out.system_delay_main);
-  return core;
-}
 
-/// The verdict half: checks `core` against ctx's constraints and criteria
-/// (chip area, performance, delay, power) and fills violated_chips /
-/// feasible / reason, reusing the core's buffers.
-IntegrationResult apply_verdict(const EvalContext& ctx,
-                                IntegrationCore core) {
-  static obs::Counter& infeasible =
-      obs::MetricsRegistry::global().counter("integration.infeasible");
-
-  IntegrationResult out = std::move(core.partial);
-  if (core.structural_fail) {
-    // Structural failures carry their final reason from integrate_core();
-    // no constraint is ever consulted for them.
-    infeasible.add();
-    return out;
-  }
-
+  // --- verdict: chip area, performance, delay, power ---------------------
   const DesignConstraints& constraints = ctx.constraints();
   const FeasibilityCriteria& criteria = ctx.criteria();
-  const auto& chips = ctx.partitioning().chips();
-  auto fail = [&](std::string why) {
-    infeasible.add();
-    out.feasible = false;
-    out.reason = std::move(why);
-    return std::move(out);
-  };
-
-  out.violated_chips.clear();
   for (std::size_t c = 0; c < chips.size(); ++c) {
     if (!criteria.area_ok(out.chip_area[c], chips[c].package.usable_area())) {
       out.violated_chips.push_back(static_cast<int>(c));
@@ -447,15 +412,6 @@ IntegrationResult apply_verdict(const EvalContext& ctx,
   out.feasible = true;
   out.reason.clear();
   return out;
-}
-
-}  // namespace
-
-IntegrationResult integrate(
-    const EvalContext& ctx,
-    const std::vector<const bad::DesignPrediction*>& selection,
-    Cycles ii_main) {
-  return apply_verdict(ctx, integrate_core(ctx, selection, ii_main));
 }
 
 }  // namespace chop::core

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/eval/fingerprint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
@@ -39,54 +38,33 @@ ChopSession::ChopSession(const lib::ComponentLibrary& library,
   predict_cache_.resize(nparts);
 }
 
-std::uint64_t ChopSession::predict_env_key() const {
-  Fnv1a h;
-  h.mix(static_cast<int>(config_.style.clocking));
-  h.mix(config_.style.allow_pipelining ? 1 : 0);
-  h.mix(config_.clocks.main_clock);
-  h.mix(config_.clocks.datapath_multiplier);
-  h.mix(config_.clocks.transfer_multiplier);
-  h.mix(max_ii_dp_for(config_));
-  h.mix(config_.testability.scan_design ? 1 : 0);
-  h.mix(config_.testability.register_area_factor);
-  h.mix(config_.testability.register_delay_penalty_ns);
-  h.mix(config_.testability.controller_area_factor);
-  h.mix(config_.testability.test_pins_per_chip);
-  for (int units : config_.predictor.unit_sweep) h.mix(units);
+ChopSession::RawInputs ChopSession::raw_inputs(std::size_t p) const {
+  RawInputs in;
+  in.members = partitioning_.partitions()[p].members;
+  in.clocking = config_.style.clocking;
+  in.allow_pipelining = config_.style.allow_pipelining;
+  in.main_clock = config_.clocks.main_clock;
+  in.datapath_multiplier = config_.clocks.datapath_multiplier;
+  in.transfer_multiplier = config_.clocks.transfer_multiplier;
+  in.max_ii_dp = max_ii_dp_for(config_);
+  in.scan_design = config_.testability.scan_design;
+  in.register_area_factor = config_.testability.register_area_factor;
+  in.register_delay_penalty_ns = config_.testability.register_delay_penalty_ns;
+  in.controller_area_factor = config_.testability.controller_area_factor;
+  in.test_pins_per_chip = config_.testability.test_pins_per_chip;
+  in.unit_sweep = config_.predictor.unit_sweep;
   for (const auto& block : partitioning_.memory().blocks) {
-    h.mix(block.ports);
-    h.mix(block.access_time);
+    in.memory_ports.push_back(block.ports);
+    in.memory_access_times.push_back(block.access_time);
   }
-  return h.digest();
+  return in;
 }
 
-std::uint64_t ChopSession::raw_key(std::size_t p,
-                                   std::uint64_t env_key) const {
-  Fnv1a h;
-  h.mix(env_key);
-  h.mix(static_cast<std::uint64_t>(p));
-  for (dfg::NodeId member : partitioning_.partitions()[p].members) {
-    h.mix(member);
-  }
-  return h.digest();
-}
-
-std::uint64_t ChopSession::eligible_key(std::size_t p,
-                                        std::uint64_t raw) const {
-  Fnv1a h;
-  h.mix(raw);
+ChopSession::EligibleInputs ChopSession::eligible_inputs(std::size_t p) const {
   const Partition& part = partitioning_.partitions()[p];
-  h.mix(partitioning_.chips()[static_cast<std::size_t>(part.chip)]
-            .package.usable_area());
-  h.mix(config_.constraints.performance_ns);
-  h.mix(config_.constraints.delay_ns);
-  h.mix(config_.constraints.system_power_mw);
-  h.mix(config_.constraints.chip_power_mw);
-  h.mix(config_.criteria.area_prob);
-  h.mix(config_.criteria.performance_prob);
-  h.mix(config_.criteria.delay_prob);
-  h.mix(config_.criteria.power_prob);
-  return h.digest();
+  return {partitioning_.chips()[static_cast<std::size_t>(part.chip)]
+              .package.usable_area(),
+          config_.constraints, config_.criteria};
 }
 
 PredictionStats ChopSession::predict_partitions() {
@@ -95,11 +73,6 @@ PredictionStats ChopSession::predict_partitions() {
   partitioning_.validate();
 
   const auto& partitions = partitioning_.partitions();
-  const auto& chips = partitioning_.chips();
-
-  // Cap pipelined II enumeration from the performance budget (§3.2).
-  const Cycles max_ii_dp = max_ii_dp_for(config_);
-  const std::uint64_t env_key = predict_env_key();
 
   static obs::Counter& reused_counter =
       obs::MetricsRegistry::global().counter("eval.delta_predict_reused");
@@ -110,8 +83,8 @@ PredictionStats ChopSession::predict_partitions() {
   PredictionStats stats;
   for (std::size_t p = 0; p < partitions.size(); ++p) {
     PartitionPredictState& state = predict_cache_[p];
-    const std::uint64_t rk = raw_key(p, env_key);
-    const bool raw_hit = state.valid && state.raw_key == rk;
+    RawInputs raw = raw_inputs(p);
+    const bool raw_hit = state.valid && state.raw == raw;
     if (raw_hit) {
       ++stats.reused;
       reused_counter.add();
@@ -125,7 +98,8 @@ PredictionStats ChopSession::predict_partitions() {
       request.library = library_;
       request.style = config_.style;
       request.clocks = config_.clocks;
-      request.max_ii_dp = max_ii_dp;
+      // Cap pipelined II enumeration from the performance budget (§3.2).
+      request.max_ii_dp = raw.max_ii_dp;
       request.testability = config_.testability;
       for (std::size_t b = 0; b < partitioning_.memory().blocks.size(); ++b) {
         request.memory_ports[static_cast<int>(b)] =
@@ -136,18 +110,15 @@ PredictionStats ChopSession::predict_partitions() {
 
       predictions_.raw[p] = predictor.predict(request);
       recomputed_counter.add();
+      state.raw = std::move(raw);
     }
-    const std::uint64_t ek = eligible_key(p, rk);
-    if (!raw_hit || state.eligible_key != ek) {
-      const AreaMil2 usable =
-          chips[static_cast<std::size_t>(partitions[p].chip)]
-              .package.usable_area();
+    EligibleInputs eligible = eligible_inputs(p);
+    if (!raw_hit || state.eligible != eligible) {
       predictions_.eligible[p] =
-          prune_level1(predictions_.raw[p], usable, config_.clocks,
-                       config_.constraints, config_.criteria);
+          prune_level1(predictions_.raw[p], eligible.usable_area,
+                       config_.clocks, config_.constraints, config_.criteria);
+      state.eligible = std::move(eligible);
     }
-    state.raw_key = rk;
-    state.eligible_key = ek;
     state.valid = true;
   }
 
@@ -167,44 +138,18 @@ PredictionStats ChopSession::predict_partitions() {
   return stats;
 }
 
-DeltaImpact ChopSession::apply(const EvalDelta& delta) {
+void ChopSession::apply(const EvalDelta& delta) {
   obs::TraceSpan span("session.apply_delta");
   span.arg("kind", delta.kind_name());
   static obs::Counter& applied =
       obs::MetricsRegistry::global().counter("eval.delta_applied");
-
-  const std::size_t nparts = partitioning_.partitions().size();
-  const std::uint64_t old_full = make_eval_context().fingerprint();
-  std::vector<std::uint64_t> old_keys(nparts);
-  {
-    const std::uint64_t env = predict_env_key();
-    for (std::size_t p = 0; p < nparts; ++p) {
-      old_keys[p] = eligible_key(p, raw_key(p, env));
-    }
-  }
-
+  // Invalidate first: a delta that throws after patching the partitioning
+  // must not leave the old lists searchable.
+  predictions_valid_ = false;
   apply_delta(delta, partitioning_, config_.style, config_.clocks,
               config_.constraints);
   partitioning_.validate();
-
-  DeltaImpact impact;
-  impact.revision = ++revision_;
-  impact.old_fingerprint = old_full;
-  impact.new_fingerprint = make_eval_context().fingerprint();
-  impact.noop = impact.new_fingerprint == old_full;
-
-  const std::uint64_t env = predict_env_key();
-  impact.dirty_partitions.resize(nparts);
-  for (std::size_t p = 0; p < nparts; ++p) {
-    impact.dirty_partitions[p] =
-        eligible_key(p, raw_key(p, env)) != old_keys[p];
-  }
-
-  if (!impact.noop) predictions_valid_ = false;
   applied.add();
-  span.arg("noop", impact.noop ? 1 : 0);
-  span.arg("dirty_partitions", impact.dirty_count());
-  return impact;
 }
 
 std::vector<DataTransfer> ChopSession::transfer_tasks() const {

@@ -4,15 +4,16 @@
 // implementations, inspect the guideline output, modify, repeat.
 //
 // One drive path: apply(EvalDelta) is the only mutator, the §2.7 edit as
-// data. It reports which partitions it dirtied, and predict_partitions()
-// then re-runs BAD only for those (every partition whose inputs are
-// unchanged keeps its lists). search() runs over the stored lists on the
-// session's memoizing evaluator. The result is byte-identical to a cold
-// session's predict+search of the same state (the incremental_research
-// oracle in chop_fuzz and tests/eval_delta_test enforce this).
+// data. predict_partitions() then decides what the edit made stale, by
+// exact comparison: it re-runs BAD only for partitions whose raw inputs
+// differ from the values their stored list was built from, and re-prunes
+// only lists whose pruning inputs differ. search() runs over the stored
+// lists on the session's memoizing evaluator. The result is
+// byte-identical to a cold session's predict+search of the same state (the
+// incremental_research oracle in chop_fuzz and tests/eval_delta_test
+// enforce this).
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -60,25 +61,18 @@ class ChopSession {
 
   const ChopConfig& config() const { return config_; }
 
-  /// Monotone revision counter: 0 at construction, bumped by every
-  /// apply() — including no-op deltas, so a revision id names an apply
-  /// event, not a distinct state.
-  std::uint64_t revision() const { return revision_; }
+  /// Applies one structured §2.7 modification and invalidates the stored
+  /// predictions: search() throws until predict_partitions() runs again,
+  /// and that pass decides which lists the edit made stale. Throws
+  /// chop::Error if the delta is invalid against the current state; the
+  /// config is then unchanged, but the partitioning may have been patched.
+  void apply(const EvalDelta& delta);
 
-  /// Applies one structured §2.7 modification and reports its impact:
-  /// which partitions now need fresh predictions, whether the delta was a
-  /// no-op (state fingerprint unchanged), and whether it only moved the
-  /// constraint budget (integration cores stay reusable). Any other delta
-  /// invalidates the stored predictions, so search() throws until
-  /// predict_partitions() runs again; a no-op keeps them valid. Throws
-  /// chop::Error (strong guarantee on config, but the partitioning may
-  /// have been patched) if the delta is invalid against the current state.
-  DeltaImpact apply(const EvalDelta& delta);
-
-  /// Runs BAD on every partition whose prediction inputs changed since the
-  /// last pass (all of them on the first) and applies level-1 pruning.
-  /// Stores the lists for subsequent search() calls and returns the
-  /// Table-3/5 stats.
+  /// Runs BAD on every partition whose raw inputs differ from those of its
+  /// stored list (all of them on the first pass) and re-applies level-1
+  /// pruning wherever the raw list or the pruning inputs changed. Stores
+  /// the lists for subsequent search() calls and returns the Table-3/5
+  /// stats.
   PredictionStats predict_partitions();
 
   /// Per-partition prediction lists from the last predict_partitions().
@@ -100,7 +94,7 @@ class ChopSession {
   CandidateEvaluator& evaluator() const { return *evaluator_; }
 
   /// Runs a search over the stored predictions. predict_partitions() must
-  /// have been called since the last apply() that was not a no-op. When
+  /// have been called since the last apply(). When
   /// options.evaluator is null the session's own evaluator is used.
   SearchResult search(const SearchOptions& options) const;
 
@@ -111,29 +105,54 @@ class ChopSession {
   std::string guideline(const GlobalDesign& design) const;
 
  private:
-  /// Cached content keys of one partition's prediction lists, deciding
-  /// reuse across predict passes. raw_key digests everything the raw BAD
-  /// run reads (clocking environment, testability, memory subsystem,
-  /// predictor sweep, partition members); eligible_key additionally
-  /// digests what level-1 pruning reads (the chip's usable area, the
-  /// constraint budget, the feasibility criteria). Equal keys imply
-  /// identical lists by construction.
+  /// The exact values one partition's raw BAD list is built from: its
+  /// members, the clocking environment, the pipelined-II cap, the
+  /// testability options, the predictor's unit sweep and the memory
+  /// blocks' ports and access times (not where the blocks sit).
+  struct RawInputs {
+    std::vector<dfg::NodeId> members;
+    bad::ClockingStyle clocking = bad::ClockingStyle::SingleCycle;
+    bool allow_pipelining = false;
+    Ns main_clock = 0.0;
+    int datapath_multiplier = 0;
+    int transfer_multiplier = 0;
+    Cycles max_ii_dp = 0;
+    bool scan_design = false;
+    double register_area_factor = 0.0;
+    Ns register_delay_penalty_ns = 0.0;
+    double controller_area_factor = 0.0;
+    Pins test_pins_per_chip = 0;
+    std::vector<int> unit_sweep;
+    std::vector<int> memory_ports;
+    std::vector<Ns> memory_access_times;
+
+    bool operator==(const RawInputs&) const = default;
+  };
+
+  /// What level-1 pruning reads besides the raw list.
+  struct EligibleInputs {
+    AreaMil2 usable_area = 0.0;
+    DesignConstraints constraints;
+    FeasibilityCriteria criteria;
+
+    bool operator==(const EligibleInputs&) const = default;
+  };
+
+  /// The inputs one partition's stored lists were built from.
   struct PartitionPredictState {
-    std::uint64_t raw_key = 0;
-    std::uint64_t eligible_key = 0;
+    RawInputs raw;
+    EligibleInputs eligible;
     bool valid = false;
   };
 
-  std::uint64_t predict_env_key() const;
-  std::uint64_t raw_key(std::size_t p, std::uint64_t env_key) const;
-  std::uint64_t eligible_key(std::size_t p, std::uint64_t raw) const;
+  RawInputs raw_inputs(std::size_t p) const;
+  EligibleInputs eligible_inputs(std::size_t p) const;
 
   const lib::ComponentLibrary* library_;
   Partitioning partitioning_;
   ChopConfig config_;
   PartitionPredictions predictions_;
   bool predictions_valid_ = false;
-  std::uint64_t revision_ = 0;
   std::vector<PartitionPredictState> predict_cache_;
   /// Session-lifetime memo cache for integrate(); behind a pointer so the
   /// session stays movable (the cache holds mutexes), mutable because

@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "util/numbered.hpp"
+
 namespace chop::dfg {
 
 std::vector<NodeId> BenchmarkGraph::layer_span(std::size_t first,
@@ -84,7 +86,7 @@ BenchmarkGraph elliptic_wave_filter(Bits width) {
   // final additions: 26 adds, 8 muls.
   std::vector<NodeId> chain_end(2, kNoNode);
   for (int chain = 0; chain < 2; ++chain) {
-    NodeId prev = g.add_input("in" + std::to_string(chain), width);
+    NodeId prev = g.add_input(numbered("in", chain), width);
     for (int sec = 0; sec < 4; ++sec) {
       const std::string tag =
           std::to_string(chain) + "_" + std::to_string(sec);
@@ -122,10 +124,10 @@ BenchmarkGraph fir16(Bits width) {
   products.reserve(16);
   std::vector<NodeId> taps;
   for (int i = 0; i < 16; ++i) {
-    const NodeId xi = g.add_input("x" + std::to_string(i), width);
-    const NodeId ci = g.add_constant_input("c" + std::to_string(i), width);
+    const NodeId xi = g.add_input(numbered("x", i), width);
+    const NodeId ci = g.add_constant_input(numbered("c", i), width);
     taps.push_back(g.add_op(OpKind::Mul, width, {xi, ci},
-                            "p" + std::to_string(i)));
+                            numbered("p", i)));
   }
   bg.layers.push_back(taps);
 
@@ -136,7 +138,7 @@ BenchmarkGraph fir16(Bits width) {
     std::vector<NodeId> next;
     for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
       next.push_back(g.add_op(OpKind::Add, width, {level[i], level[i + 1]},
-                              "t" + std::to_string(add_idx++)));
+                              numbered("t", add_idx++)));
     }
     if (level.size() % 2 == 1) next.push_back(level.back());
     bg.layers.push_back(next);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/numbered.hpp"
+
 namespace chop::dfg {
 
 BenchmarkGraph random_dag(Rng& rng, const RandomDagSpec& spec) {
@@ -38,7 +40,7 @@ BenchmarkGraph random_dag(Rng& rng, const RandomDagSpec& spec) {
                                  static_cast<std::size_t>(spec.mem_writes);
   g.reserve(node_bound, 3 * node_bound);
   for (int i = 0; i < n_inputs; ++i) {
-    sources.push_back(g.add_input("in" + std::to_string(i), spec.width));
+    sources.push_back(g.add_input(numbered("in", i), spec.width));
   }
 
   // Streamed memory reads feed the datapath from the start; they join the
@@ -48,7 +50,7 @@ BenchmarkGraph random_dag(Rng& rng, const RandomDagSpec& spec) {
     const int block = static_cast<int>(
         rng.uniform(0, static_cast<std::int64_t>(spec.memory_blocks) - 1));
     mem_read_nodes.push_back(
-        g.add_mem_read(block, spec.width, kNoNode, "mr" + std::to_string(i)));
+        g.add_mem_read(block, spec.width, kNoNode, numbered("mr", i)));
     sources.push_back(mem_read_nodes.back());
   }
 
@@ -97,7 +99,7 @@ BenchmarkGraph random_dag(Rng& rng, const RandomDagSpec& spec) {
         static_cast<std::int64_t>(first_op),
         static_cast<std::int64_t>(sources.size()) - 1))];
     bg.layers.back().push_back(
-        g.add_mem_write(block, data, kNoNode, "mw" + std::to_string(i)));
+        g.add_mem_write(block, data, kNoNode, numbered("mw", i)));
   }
 
   // Expose every value with no consumer as a primary output. MemWrite
@@ -110,7 +112,7 @@ BenchmarkGraph random_dag(Rng& rng, const RandomDagSpec& spec) {
     const OpKind kind = g.node(id).kind;
     if (kind == OpKind::Input || kind == OpKind::MemWrite) continue;
     if (g.fanout(id).empty()) {
-      g.add_output("y" + std::to_string(out_idx++), id);
+      g.add_output(numbered("y", out_idx++), id);
     }
   }
 

@@ -69,6 +69,8 @@ struct GenContext {
   core::SearchOptions search;  ///< With the shared evaluator installed.
   int k = 0;
   std::size_t budget = 0;
+  /// Coarsest vertex per base vertex (hierarchy.ops order).
+  std::vector<int> to_coarsest;
   /// Mean base topological rank per coarsest vertex (level-order seeds).
   std::vector<double> coarsest_rank;
 };
@@ -266,21 +268,13 @@ std::optional<std::vector<int>> lift_assignment(
       part_of_op[static_cast<std::size_t>(id)] = static_cast<int>(p);
     }
   }
-  // Base vertex -> coarsest vertex.
   const Hierarchy& h = ctx.hierarchy;
-  std::vector<int> to_coarsest(h.ops.size());
-  for (std::size_t v = 0; v < h.ops.size(); ++v) {
-    to_coarsest[v] = static_cast<int>(v);
-  }
-  for (const CoarseLevel& level : h.levels) {
-    for (int& c : to_coarsest) c = level.parent[static_cast<std::size_t>(c)];
-  }
   const std::size_t n = h.coarsest().vertex_count();
   std::vector<std::vector<int>> votes(
       n, std::vector<int>(static_cast<std::size_t>(ctx.k), 0));
   for (std::size_t v = 0; v < h.ops.size(); ++v) {
     const int p = part_of_op[static_cast<std::size_t>(h.ops[v])];
-    if (p >= 0) ++votes[static_cast<std::size_t>(to_coarsest[v])]
+    if (p >= 0) ++votes[static_cast<std::size_t>(ctx.to_coarsest[v])]
                        [static_cast<std::size_t>(p)];
   }
   std::vector<int> assignment(n, 0);
@@ -582,7 +576,7 @@ GenerateResult generate_partitions(const dfg::Graph& spec,
   GenContext ctx{spec,    library, chips,  memory, config,
                  hierarchy, options, options.search, k,
                  options.budget == 0 ? std::size_t{48} : options.budget,
-                 {}};
+                 {}, {}};
   if (ctx.search.evaluator == nullptr) {
     ctx.search.evaluator = &shared_evaluator;
   }
@@ -592,25 +586,28 @@ GenerateResult generate_partitions(const dfg::Graph& spec,
   }
   if (ctx.search.profile == nullptr) ctx.search.profile = options.profile;
 
-  // Mean base topological rank per coarsest vertex, for level-order seeds.
+  // Base vertex -> coarsest vertex, and the mean base topological rank
+  // per coarsest vertex for level-order seeds.
+  ctx.to_coarsest.resize(hierarchy.ops.size());
+  for (std::size_t v = 0; v < hierarchy.ops.size(); ++v) {
+    ctx.to_coarsest[v] = static_cast<int>(v);
+  }
+  for (const CoarseLevel& level : hierarchy.levels) {
+    for (int& c : ctx.to_coarsest) {
+      c = level.parent[static_cast<std::size_t>(c)];
+    }
+  }
   {
     std::vector<double> rank(spec.node_count(), 0.0);
     int r = 0;
     for (const dfg::NodeId id : spec.topological_order()) {
       rank[static_cast<std::size_t>(id)] = static_cast<double>(r++);
     }
-    std::vector<int> to_coarsest(hierarchy.ops.size());
-    for (std::size_t v = 0; v < hierarchy.ops.size(); ++v) {
-      to_coarsest[v] = static_cast<int>(v);
-    }
-    for (const CoarseLevel& level : hierarchy.levels) {
-      for (int& c : to_coarsest) c = level.parent[static_cast<std::size_t>(c)];
-    }
     const std::size_t n = hierarchy.coarsest().vertex_count();
     ctx.coarsest_rank.assign(n, 0.0);
     std::vector<int> counts(n, 0);
     for (std::size_t v = 0; v < hierarchy.ops.size(); ++v) {
-      const auto c = static_cast<std::size_t>(to_coarsest[v]);
+      const auto c = static_cast<std::size_t>(ctx.to_coarsest[v]);
       ctx.coarsest_rank[c] += rank[static_cast<std::size_t>(hierarchy.ops[v])];
       ++counts[c];
     }

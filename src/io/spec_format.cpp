@@ -340,12 +340,16 @@ void parse_config_line(ParserState& st, int line,
 
 }  // namespace
 
-core::ChopSession Project::make_session() const {
+core::Partitioning Project::make_partitioning() const {
   core::Partitioning pt(graph, chips, memory);
   for (const core::Partition& p : partitions) {
     pt.add_partition(p.name, p.members, p.chip);
   }
-  return core::ChopSession(library, std::move(pt), config);
+  return pt;
+}
+
+core::ChopSession Project::make_session() const {
+  return core::ChopSession(library, make_partitioning(), config);
 }
 
 Project parse_project(std::istream& in) {

@@ -60,6 +60,10 @@ struct Project {
   std::vector<core::Partition> partitions;
   core::ChopConfig config;
 
+  /// The partitioning this project describes. It references `graph`, so
+  /// the project must outlive it.
+  core::Partitioning make_partitioning() const;
+
   /// Builds the ready-to-run session (validates everything).
   core::ChopSession make_session() const;
 };

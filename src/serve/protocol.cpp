@@ -7,6 +7,7 @@
 #include <string>
 
 #include "chip/mosis_packages.hpp"
+#include "core/eval/eval_delta.hpp"
 
 namespace chop::serve {
 
@@ -448,83 +449,62 @@ int chip_index(const io::Project& project, const std::string& name) {
   throw ProtocolError("not_found", "no chip named '" + name + "'");
 }
 
+/// Resolves the names in `delta` against `project` into a core delta.
+core::EvalDelta resolve_delta(const io::Project& project,
+                              const DeltaSpec& delta) {
+  switch (delta.kind) {
+    case DeltaSpec::Kind::MoveOp:
+      for (dfg::NodeId id = 0;
+           id < static_cast<dfg::NodeId>(project.graph.node_count()); ++id) {
+        if (project.graph.node(id).name == delta.op_name) {
+          return core::EvalDelta::move_operation(
+              id, partition_index(project, delta.partition));
+        }
+      }
+      throw ProtocolError("not_found", "no node named '" + delta.op_name + "'");
+    case DeltaSpec::Kind::RetargetChip: {
+      const int p = partition_index(project, delta.partition);
+      return core::EvalDelta::move_partition_to_chip(
+          p, chip_index(project, delta.chip));
+    }
+    case DeltaSpec::Kind::ReplacePackage:
+      return core::EvalDelta::replace_chip_package(
+          chip_index(project, delta.chip), delta.package == "mosis64"
+                                               ? chip::mosis_package_64()
+                                               : chip::mosis_package_84());
+    case DeltaSpec::Kind::SetClock:
+      return core::EvalDelta::set_clocking(
+          project.config.style,
+          {delta.main_clock_ns, delta.datapath_multiplier,
+           delta.transfer_multiplier});
+    case DeltaSpec::Kind::SetConstraints: {
+      core::DesignConstraints c = project.config.constraints;
+      if (delta.performance_ns >= 0.0) c.performance_ns = delta.performance_ns;
+      if (delta.delay_ns >= 0.0) c.delay_ns = delta.delay_ns;
+      if (delta.system_power_mw >= 0.0) {
+        c.system_power_mw = delta.system_power_mw;
+      }
+      if (delta.chip_power_mw >= 0.0) c.chip_power_mw = delta.chip_power_mw;
+      return core::EvalDelta::set_constraints(c);
+    }
+  }
+  bad_delta("unknown delta kind");
+}
+
 }  // namespace
 
 io::Project apply_delta(const io::Project& base, const DeltaSpec& delta) {
+  const core::EvalDelta resolved = resolve_delta(base, delta);
   io::Project out = base;
-  switch (delta.kind) {
-    case DeltaSpec::Kind::MoveOp: {
-      dfg::NodeId op = dfg::kNoNode;
-      for (dfg::NodeId id = 0;
-           id < static_cast<dfg::NodeId>(out.graph.node_count()); ++id) {
-        if (out.graph.node(id).name == delta.op_name) {
-          op = id;
-          break;
-        }
-      }
-      if (op == dfg::kNoNode) {
-        throw ProtocolError("not_found",
-                            "no node named '" + delta.op_name + "'");
-      }
-      const int dest = partition_index(out, delta.partition);
-      int src = -1;
-      for (std::size_t p = 0; p < out.partitions.size(); ++p) {
-        const auto& members = out.partitions[p].members;
-        if (std::find(members.begin(), members.end(), op) != members.end()) {
-          src = static_cast<int>(p);
-          break;
-        }
-      }
-      if (src == -1) {
-        bad_delta("node '" + delta.op_name + "' is not in any partition");
-      }
-      // Mirror core::Partitioning::move_operation: already there is a
-      // no-op; a migration may never empty its source partition; member
-      // order is preserved on both sides.
-      if (src == dest) break;
-      auto& src_members = out.partitions[static_cast<std::size_t>(src)].members;
-      if (src_members.size() <= 1) {
-        bad_delta("cannot empty partition '" +
-                  out.partitions[static_cast<std::size_t>(src)].name +
-                  "' by migration");
-      }
-      src_members.erase(std::find(src_members.begin(), src_members.end(), op));
-      out.partitions[static_cast<std::size_t>(dest)].members.push_back(op);
-      break;
-    }
-    case DeltaSpec::Kind::RetargetChip: {
-      const int p = partition_index(out, delta.partition);
-      out.partitions[static_cast<std::size_t>(p)].chip =
-          chip_index(out, delta.chip);
-      break;
-    }
-    case DeltaSpec::Kind::ReplacePackage: {
-      const int c = chip_index(out, delta.chip);
-      out.chips[static_cast<std::size_t>(c)].package =
-          delta.package == "mosis64" ? chip::mosis_package_64()
-                                     : chip::mosis_package_84();
-      break;
-    }
-    case DeltaSpec::Kind::SetClock:
-      out.config.clocks.main_clock = delta.main_clock_ns;
-      out.config.clocks.datapath_multiplier = delta.datapath_multiplier;
-      out.config.clocks.transfer_multiplier = delta.transfer_multiplier;
-      break;
-    case DeltaSpec::Kind::SetConstraints:
-      if (delta.performance_ns >= 0.0) {
-        out.config.constraints.performance_ns = delta.performance_ns;
-      }
-      if (delta.delay_ns >= 0.0) {
-        out.config.constraints.delay_ns = delta.delay_ns;
-      }
-      if (delta.system_power_mw >= 0.0) {
-        out.config.constraints.system_power_mw = delta.system_power_mw;
-      }
-      if (delta.chip_power_mw >= 0.0) {
-        out.config.constraints.chip_power_mw = delta.chip_power_mw;
-      }
-      break;
+  core::Partitioning pt = out.make_partitioning();
+  try {
+    core::apply_delta(resolved, pt, out.config.style, out.config.clocks,
+                      out.config.constraints);
+  } catch (const Error& e) {
+    bad_delta(e.what());
   }
+  out.partitions = pt.partitions();
+  out.chips = pt.chips();
   return out;
 }
 

@@ -160,12 +160,11 @@ JsonValue render_search_result(const core::SearchResult& result);
 JsonValue render_generate_result(const gen::GenerateResult& result,
                                  const dfg::Graph& spec);
 
-/// Applies one DeltaSpec to a project, returning the patched copy. Name
-/// resolution happens here; the move semantics mirror
-/// core::Partitioning::move_operation exactly (moving a node to the
-/// partition it already lives in is a no-op; emptying a partition is an
-/// error). Throws ProtocolError — `not_found` for unresolvable names,
-/// `invalid_delta` for structurally invalid edits.
+/// Applies one DeltaSpec to a project, returning the patched copy. Names
+/// resolve to a core::EvalDelta, which core::apply_delta() applies — the
+/// same edit a direct ChopSession::apply() makes. Throws ProtocolError —
+/// `not_found` for unresolvable names, `invalid_delta` for edits the core
+/// rejects (a node outside every partition, emptying a partition, ...).
 io::Project apply_delta(const io::Project& base, const DeltaSpec& delta);
 
 }  // namespace chop::serve

@@ -413,8 +413,9 @@ ScenarioReport run_oracles(const io::Project& project,
     // apply(delta) → predict_partitions() → search() on a warm session
     // (after a base predict + search) must be byte-identical (through the
     // serve rendering, trials included) to a cold session built directly
-    // at the patched state, and re-stating the same delta must report a
-    // no-op impact. The delta kind is picked from a content
+    // at the patched state, and re-stating the same delta must let the
+    // next predict pass reuse every partition's lists and search to the
+    // same bytes. The delta kind is picked from a content
     // hash of the spec so the corpus covers every §2.7 group over time.
     {
       std::uint64_t h = 1469598103934665603ull;
@@ -477,17 +478,30 @@ ScenarioReport run_oracles(const io::Project& project,
         warm.apply(delta);
         warm.predict_partitions();
         const SearchResult incremental = warm.search(opt);
-        if (!warm.apply(delta).noop) {
+        const std::string incremental_bytes =
+            serve::render_search_result(incremental).dump();
+        warm.apply(delta);
+        const core::PredictionStats restated = warm.predict_partitions();
+        if (restated.reused != warm.partitioning().partitions().size()) {
           report.failures.push_back(
               {"incremental_research",
-               "re-applying an applied delta did not report a no-op"});
+               "re-applying an applied delta re-ran BAD on " +
+                   std::to_string(warm.partitioning().partitions().size() -
+                                  restated.reused) +
+                   " partition(s)"});
+        }
+        if (serve::render_search_result(warm.search(opt)).dump() !=
+            incremental_bytes) {
+          report.failures.push_back(
+              {"incremental_research",
+               "re-applying an applied delta changed the search output"});
         }
 
         ChopSession cold = project.make_session();
         cold.apply(delta);
         cold.predict_partitions();
         const SearchResult from_cold = cold.search(opt);
-        if (serve::render_search_result(incremental).dump() !=
+        if (incremental_bytes !=
             serve::render_search_result(from_cold).dump()) {
           report.failures.push_back(
               {"incremental_research",

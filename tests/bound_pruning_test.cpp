@@ -18,6 +18,7 @@
 #include "core/session.hpp"
 #include "dfg/benchmarks.hpp"
 #include "library/experiment_library.hpp"
+#include "util/numbered.hpp"
 
 namespace chop::core {
 namespace {
@@ -72,7 +73,7 @@ ChopSession ar_session(int exp, int nparts) {
   static const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
   std::vector<chip::ChipInstance> chips;
   for (int c = 0; c < nparts; ++c) {
-    chips.push_back({"chip" + std::to_string(c), chip::mosis_package_84()});
+    chips.push_back({numbered("chip", c), chip::mosis_package_84()});
   }
   Partitioning pt(ar.graph, std::move(chips));
   const auto cuts =
@@ -80,7 +81,7 @@ ChopSession ar_session(int exp, int nparts) {
                   : (nparts == 2 ? dfg::ar_two_way_cut(ar)
                                  : dfg::ar_three_way_cut(ar));
   for (int p = 0; p < nparts; ++p) {
-    pt.add_partition("P" + std::to_string(p + 1),
+    pt.add_partition(numbered("P", p + 1),
                      cuts[static_cast<std::size_t>(p)], p);
   }
   ChopConfig config;

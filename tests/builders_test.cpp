@@ -11,6 +11,7 @@
 #include "core/partitioning.hpp"
 #include "dfg/benchmarks.hpp"
 #include "dfg/generator.hpp"
+#include "util/numbered.hpp"
 
 namespace chop::baseline {
 namespace {
@@ -21,11 +22,11 @@ bool chop_accepts(const dfg::Graph& g,
                   const std::vector<std::vector<dfg::NodeId>>& parts) {
   std::vector<chip::ChipInstance> chips;
   for (std::size_t i = 0; i < parts.size(); ++i) {
-    chips.push_back({"c" + std::to_string(i), chip::mosis_package_84()});
+    chips.push_back({numbered("c", i), chip::mosis_package_84()});
   }
   core::Partitioning pt(g, std::move(chips));
   for (std::size_t p = 0; p < parts.size(); ++p) {
-    pt.add_partition("P" + std::to_string(p), parts[p], static_cast<int>(p));
+    pt.add_partition(numbered("P", p), parts[p], static_cast<int>(p));
   }
   try {
     pt.validate();

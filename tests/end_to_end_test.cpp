@@ -11,6 +11,7 @@
 #include "dfg/generator.hpp"
 #include "library/experiment_library.hpp"
 #include "library/module_set.hpp"
+#include "util/numbered.hpp"
 
 namespace chop {
 namespace {
@@ -38,11 +39,11 @@ class EndToEnd : public ::testing::TestWithParam<Instance> {
         baseline::random_partition(graph_.all_operations(), p.chips, rng_));
     std::vector<chip::ChipInstance> chips;
     for (std::size_t c = 0; c < parts.size(); ++c) {
-      chips.push_back({"c" + std::to_string(c), chip::mosis_package_84()});
+      chips.push_back({numbered("c", c), chip::mosis_package_84()});
     }
     core::Partitioning pt(graph_.graph, std::move(chips));
     for (std::size_t i = 0; i < parts.size(); ++i) {
-      pt.add_partition("P" + std::to_string(i + 1), parts[i],
+      pt.add_partition(numbered("P", i + 1), parts[i],
                        static_cast<int>(i));
     }
     core::ChopConfig config;

@@ -1,5 +1,5 @@
 // Tests for the incremental evaluation pipeline: EvalDelta application,
-// DeltaImpact classification, revision tracking, and the contract that
+// which partitions the next predict pass reuses, and the contract that
 // apply() → predict_partitions() → search() is byte-identical (through the
 // serve rendering, counters included) to a cold session built at the same
 // state.
@@ -103,23 +103,22 @@ dfg::NodeId find_movable(const Partitioning& pt, int* dest_out) {
   return dfg::kNoNode;
 }
 
-// ---- DeltaImpact classification ----
+// ---- staleness, decided at predict time ----
 
 TEST(EvalDelta, NoopDeltaReportsNoopAndSkipsAllWork) {
   ChopSession s = make_session(2);
   const SearchOptions opt;
   const SearchResult base = predict_and_search(s, opt);
 
-  // Re-stating the current constraints changes no fingerprint.
-  const DeltaImpact impact =
-      s.apply(EvalDelta::set_constraints(s.config().constraints));
-  EXPECT_TRUE(impact.noop);
-  EXPECT_EQ(impact.dirty_count(), 0u);
-  EXPECT_EQ(impact.old_fingerprint, impact.new_fingerprint);
+  // Re-stating the current constraints changes no prediction input.
+  s.apply(EvalDelta::set_constraints(s.config().constraints));
+  EXPECT_THROW((void)s.search(opt), Error)
+      << "every apply() invalidates the stored predictions";
 
   const std::uint64_t attempts = counter("integration.attempts");
   const std::uint64_t recomputed = counter("eval.delta_predict_recomputed");
-  const SearchResult again = predict_and_search(s, opt);
+  EXPECT_EQ(s.predict_partitions().reused, 2u);
+  const SearchResult again = s.search(opt);
   EXPECT_EQ(counter("integration.attempts"), attempts)
       << "a no-op revision must not integrate anything";
   EXPECT_EQ(counter("eval.delta_predict_recomputed"), recomputed)
@@ -129,58 +128,45 @@ TEST(EvalDelta, NoopDeltaReportsNoopAndSkipsAllWork) {
 
 TEST(EvalDelta, ConstraintChangeIsConstraintsOnly) {
   ChopSession s = make_session(2);
+  const SearchOptions opt;
+  const SearchResult base = predict_and_search(s, opt);
   DesignConstraints c = s.config().constraints;
   c.performance_ns = 27000.0;
-  const DeltaImpact impact = s.apply(EvalDelta::set_constraints(c));
-  EXPECT_FALSE(impact.noop);
-  EXPECT_NE(impact.old_fingerprint, impact.new_fingerprint);
+  s.apply(EvalDelta::set_constraints(c));
+  EXPECT_THROW((void)s.search(opt), Error);
+  // The performance budget caps the pipelined II BAD sweeps (10 -> 9
+  // datapath cycles here), so both raw lists are rebuilt.
+  EXPECT_EQ(s.predict_partitions().reused, 0u);
+  EXPECT_NE(rendered(base), rendered(s.search(opt)));
 }
 
 TEST(EvalDelta, ClockChangeDirtiesEveryPartition) {
   ChopSession s = make_session(3);
+  s.predict_partitions();
   bad::ClockSpec clocks = s.config().clocks;
   clocks.main_clock = 330.0;
-  const DeltaImpact impact =
-      s.apply(EvalDelta::set_clocking(s.config().style, clocks));
-  EXPECT_FALSE(impact.noop);
-  ASSERT_EQ(impact.dirty_partitions.size(), 3u);
-  EXPECT_EQ(impact.dirty_count(), 3u);
+  s.apply(EvalDelta::set_clocking(s.config().style, clocks));
+  EXPECT_EQ(s.predict_partitions().reused, 0u);
 }
 
 TEST(EvalDelta, MoveDirtiesOnlyTheTouchedPartitions) {
   ChopSession s = make_session(3);
+  s.predict_partitions();
   int dest = 0;
   const dfg::NodeId op = find_movable(s.partitioning(), &dest);
   ASSERT_NE(op, dfg::kNoNode);
-  const DeltaImpact impact = s.apply(EvalDelta::move_operation(op, dest));
-  EXPECT_FALSE(impact.noop);
-  ASSERT_EQ(impact.dirty_partitions.size(), 3u);
-  EXPECT_EQ(impact.dirty_count(), 2u)
+  s.apply(EvalDelta::move_operation(op, dest));
+  EXPECT_EQ(s.predict_partitions().reused, 1u)
       << "a migration touches exactly source and destination";
 }
 
 TEST(EvalDelta, MemoryMoveDirtiesNoPredictionList) {
   ChopSession s = make_memory_session();
-  const DeltaImpact impact = s.apply(EvalDelta::set_memory_placement(0, 0));
-  EXPECT_FALSE(impact.noop);
-  ASSERT_EQ(impact.dirty_partitions.size(), 2u);
-  EXPECT_EQ(impact.dirty_count(), 0u)
-      << "BAD never reads where a memory block sits";
-  EXPECT_NE(impact.old_fingerprint, impact.new_fingerprint);
+  s.predict_partitions();
+  s.apply(EvalDelta::set_memory_placement(0, 0));
   EXPECT_EQ(s.partitioning().memory().placement(0), 0);
-}
-
-TEST(EvalDelta, RevisionsIncreaseMonotonically) {
-  ChopSession s = make_session(2);
-  EXPECT_EQ(s.revision(), 0u);
-  const DeltaImpact first =
-      s.apply(EvalDelta::set_constraints(s.config().constraints));
-  EXPECT_EQ(first.revision, 1u);
-  EXPECT_EQ(s.revision(), 1u);
-  DesignConstraints c = s.config().constraints;
-  c.performance_ns = 27000.0;
-  const DeltaImpact second = s.apply(EvalDelta::set_constraints(c));
-  EXPECT_EQ(second.revision, 2u);
+  EXPECT_EQ(s.predict_partitions().reused, 2u)
+      << "BAD never reads where a memory block sits";
 }
 
 TEST(EvalDelta, InvalidTargetsThrow) {
@@ -250,7 +236,6 @@ TEST(EvalDelta, StackedDeltasAcrossRevisionsMatchCold) {
   (void)predict_and_search(warm, opt);
   warm.apply(second);
   const SearchResult incremental = predict_and_search(warm, opt);
-  EXPECT_EQ(warm.revision(), 2u);
 
   ChopSession cold = make_session(2);
   cold.apply(first);

@@ -28,7 +28,7 @@ DesignPrediction pred(DesignStyle style, Cycles ii, Cycles latency,
                       double area) {
   DesignPrediction p;
   p.style = style;
-  p.module_set_label = "t";
+  p.module_set_label = std::string("t");
   p.fu_alloc[dfg::OpKind::Mul] = 1;
   p.stages = latency;
   p.ii_dp = ii;

@@ -22,6 +22,7 @@
 #include "gen/coarsen.hpp"
 #include "library/experiment_library.hpp"
 #include "obs/trace.hpp"
+#include "util/numbered.hpp"
 
 namespace chop::gen {
 namespace {
@@ -47,7 +48,7 @@ core::ChopConfig test_config() {
 std::vector<chip::ChipInstance> test_chips(int k) {
   std::vector<chip::ChipInstance> chips;
   for (int c = 0; c < k; ++c) {
-    chips.push_back({"c" + std::to_string(c), chip::mosis_package_84()});
+    chips.push_back({numbered("c", c), chip::mosis_package_84()});
   }
   return chips;
 }
@@ -213,7 +214,7 @@ TEST(Generate, DominatesOrEqualsLevelOrderBaseline) {
       bg.graph, bg.graph.partitionable_operations(), 2);
   core::Partitioning pt(bg.graph, test_chips(2));
   for (std::size_t p = 0; p < baseline_members.size(); ++p) {
-    pt.add_partition("P" + std::to_string(p + 1), baseline_members[p],
+    pt.add_partition(numbered("P", p + 1), baseline_members[p],
                      static_cast<int>(p));
   }
   core::ChopSession session(library, std::move(pt), test_config());

@@ -8,6 +8,7 @@
 #include "core/session.hpp"
 #include "dfg/graph.hpp"
 #include "library/experiment_library.hpp"
+#include "util/numbered.hpp"
 
 namespace chop::core {
 namespace {
@@ -28,12 +29,12 @@ struct SharedMemoryFixture {
     using dfg::OpKind;
     for (int pipe = 0; pipe < 2; ++pipe) {
       std::vector<dfg::NodeId>& ops = pipe == 0 ? pipe_a : pipe_b;
-      const auto x = graph.add_input("x" + std::to_string(pipe), 16);
+      const auto x = graph.add_input(numbered("x", pipe), 16);
       dfg::NodeId acc = dfg::kNoNode;
       for (int r = 0; r < reads_per_pipe; ++r) {
         const auto rd = graph.add_mem_read(
             0, 16, dfg::kNoNode,
-            "rd" + std::to_string(pipe) + "_" + std::to_string(r));
+            "rd" + std::to_string(pipe) + numbered("_", r));
         ops.push_back(rd);
         const auto mul = graph.add_op(OpKind::Mul, 16, {rd, x});
         ops.push_back(mul);
@@ -45,9 +46,9 @@ struct SharedMemoryFixture {
         }
       }
       const auto wr = graph.add_mem_write(1, acc, dfg::kNoNode,
-                                          "wr" + std::to_string(pipe));
+                                          numbered("wr", pipe));
       ops.push_back(wr);
-      graph.add_output("y" + std::to_string(pipe), acc);
+      graph.add_output(numbered("y", pipe), acc);
     }
     graph.validate();
   }

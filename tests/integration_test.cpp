@@ -9,6 +9,7 @@
 
 #include "chip/mosis_packages.hpp"
 #include "dfg/benchmarks.hpp"
+#include "util/numbered.hpp"
 
 namespace chop::core {
 namespace {
@@ -20,7 +21,7 @@ std::vector<chip::ChipInstance> chips(int n, chip::ChipPackage pkg =
                                                  chip::mosis_package_84()) {
   std::vector<chip::ChipInstance> out;
   for (int i = 0; i < n; ++i) {
-    out.push_back({"c" + std::to_string(i), pkg});
+    out.push_back({numbered("c", i), pkg});
   }
   return out;
 }
@@ -174,10 +175,10 @@ TEST(Integration, FewerPinsLongerTransfers) {
   dfg::Graph g("wide");
   std::vector<dfg::NodeId> sums;
   for (int i = 0; i < 12; ++i) {
-    const auto x = g.add_input("x" + std::to_string(i), 16);
-    const auto y = g.add_input("y" + std::to_string(i), 16);
+    const auto x = g.add_input(numbered("x", i), 16);
+    const auto y = g.add_input(numbered("y", i), 16);
     const auto s = g.add_op(dfg::OpKind::Add, 16, {x, y});
-    g.add_output("o" + std::to_string(i), s);
+    g.add_output(numbered("o", i), s);
     sums.push_back(s);
   }
   g.validate();

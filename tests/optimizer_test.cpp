@@ -12,6 +12,7 @@
 #include "dfg/benchmarks.hpp"
 #include "gen/generate.hpp"
 #include "library/experiment_library.hpp"
+#include "util/numbered.hpp"
 
 namespace chop::core {
 namespace {
@@ -116,7 +117,7 @@ TEST(MemoryOptimizer, NoBlocksIsANoOp) {
 std::vector<chip::ChipInstance> mosis84_chips(int n) {
   std::vector<chip::ChipInstance> chips;
   for (int c = 0; c < n; ++c) {
-    chips.push_back({"c" + std::to_string(c), chip::mosis_package_84()});
+    chips.push_back({numbered("c", c), chip::mosis_package_84()});
   }
   return chips;
 }

@@ -8,6 +8,7 @@
 #include "core/session.hpp"
 #include "dfg/benchmarks.hpp"
 #include "library/experiment_library.hpp"
+#include "util/numbered.hpp"
 #include "util/timer.hpp"
 
 namespace chop {
@@ -23,7 +24,7 @@ core::ChopSession experiment(int exp, int nparts,
   static const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
   std::vector<chip::ChipInstance> chips;
   for (int c = 0; c < nparts; ++c) {
-    chips.push_back({"chip" + std::to_string(c), pkg});
+    chips.push_back({numbered("chip", c), pkg});
   }
   core::Partitioning pt(ar.graph, std::move(chips));
   const auto cuts =
@@ -31,7 +32,7 @@ core::ChopSession experiment(int exp, int nparts,
           ? std::vector<std::vector<dfg::NodeId>>{ar.all_operations()}
           : (nparts == 2 ? dfg::ar_two_way_cut(ar) : dfg::ar_three_way_cut(ar));
   for (int p = 0; p < nparts; ++p) {
-    pt.add_partition("P" + std::to_string(p + 1),
+    pt.add_partition(numbered("P", p + 1),
                      cuts[static_cast<std::size_t>(p)], p);
   }
   core::ChopConfig config;

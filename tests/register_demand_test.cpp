@@ -6,6 +6,7 @@
 
 #include "dfg/analysis.hpp"
 #include "dfg/benchmarks.hpp"
+#include "util/numbered.hpp"
 
 namespace chop::sched {
 namespace {
@@ -45,7 +46,7 @@ TEST(RegisterDemand, ParallelValuesAccumulate) {
   dfg::Graph g("par");
   std::vector<dfg::NodeId> prods;
   for (int i = 0; i < 4; ++i) {
-    const auto x = g.add_input("x" + std::to_string(i), 16);
+    const auto x = g.add_input(numbered("x", i), 16);
     prods.push_back(g.add_op(OpKind::Mul, 16, {x, x}));
   }
   const auto s1 = g.add_op(OpKind::Add, 16, {prods[0], prods[1]});

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "chip/mosis_packages.hpp"
 #include "core/session.hpp"
 #include "io/spec_writer.hpp"
 #include "serve/json.hpp"
@@ -50,10 +51,13 @@ serve::JobOptions heavy_job_options() {
 }
 
 /// Replays exactly what ChopServer::run_job does, without a server: the
-/// reference output a served job must match byte for byte.
+/// reference output a served job must match byte for byte. A non-null
+/// `delta` is applied to the session first (the direct twin of a revise).
 std::string direct_render(const io::Project& project,
-                          const serve::JobOptions& job) {
+                          const serve::JobOptions& job,
+                          const core::EvalDelta* delta = nullptr) {
   core::ChopSession session = project.make_session();
+  if (delta != nullptr) session.apply(*delta);
   session.predict_partitions();
   core::SearchOptions search;
   search.heuristic = job.heuristic;
@@ -353,6 +357,179 @@ TEST(ServeServer, AbortiveShutdownCancelsQueuedJobs) {
   // The head job may complete or cancel depending on timing, but the
   // queued tail must have been cancelled without running.
   EXPECT_GE(cancelled, ids.size() - 1);
+}
+
+// --- Revise: served deltas against direct sessions ----------------------
+
+/// An operation that can legally migrate from its partition to the next
+/// one (the source keeps a member, the result validates), or kNoNode.
+dfg::NodeId find_movable(const io::Project& project, int* dest_out) {
+  const core::ChopSession session = project.make_session();
+  const auto& partitions = session.partitioning().partitions();
+  for (std::size_t p = 0; p < partitions.size(); ++p) {
+    if (partitions[p].members.size() < 2) continue;
+    const int dest = static_cast<int>((p + 1) % partitions.size());
+    for (const dfg::NodeId op : partitions[p].members) {
+      core::Partitioning probe = session.partitioning();
+      try {
+        probe.move_operation(op, dest);
+        probe.validate();
+      } catch (const Error&) {
+        continue;
+      }
+      *dest_out = dest;
+      return op;
+    }
+  }
+  return dfg::kNoNode;
+}
+
+/// The error code serve::apply_delta throws for `delta`, or "" if it
+/// applies cleanly.
+std::string delta_error(const io::Project& project,
+                        const serve::DeltaSpec& delta) {
+  try {
+    (void)serve::apply_delta(project, delta);
+  } catch (const serve::ProtocolError& e) {
+    return e.code();
+  }
+  return "";
+}
+
+TEST(ServeRevise, EachKindMatchesDirectSessionWithTheCoreDelta) {
+  const io::Project project = testing::build_scenario(small_knobs());
+  ASSERT_GE(project.partitions.size(), 2u);
+  ASSERT_GE(project.chips.size(), 2u);
+  int dest = -1;
+  const dfg::NodeId op = find_movable(project, &dest);
+  ASSERT_NE(op, dfg::kNoNode);
+
+  struct Case {
+    std::string name;
+    serve::DeltaSpec served;
+    core::EvalDelta direct;
+  };
+  std::vector<Case> cases;
+  {
+    serve::DeltaSpec d;
+    d.kind = serve::DeltaSpec::Kind::MoveOp;
+    d.op_name = project.graph.node(op).name;
+    d.partition = project.partitions[static_cast<std::size_t>(dest)].name;
+    cases.push_back({"move_op", d, core::EvalDelta::move_operation(op, dest)});
+  }
+  {
+    serve::DeltaSpec d;
+    d.kind = serve::DeltaSpec::Kind::RetargetChip;
+    d.partition = project.partitions[0].name;
+    d.chip = project.chips[1].name;
+    cases.push_back(
+        {"retarget_chip", d, core::EvalDelta::move_partition_to_chip(0, 1)});
+  }
+  {
+    serve::DeltaSpec d;
+    d.kind = serve::DeltaSpec::Kind::ReplacePackage;
+    d.chip = project.chips[0].name;
+    d.package = "mosis64";
+    cases.push_back({"replace_package", d,
+                     core::EvalDelta::replace_chip_package(
+                         0, chip::mosis_package_64())});
+  }
+  {
+    serve::DeltaSpec d;
+    d.kind = serve::DeltaSpec::Kind::SetClock;
+    d.main_clock_ns = 330.0;
+    d.datapath_multiplier = 10;
+    d.transfer_multiplier = 2;
+    const bad::ClockSpec clocks{330.0, 10, 2};
+    cases.push_back({"set_clock", d,
+                     core::EvalDelta::set_clocking(project.config.style,
+                                                   clocks)});
+  }
+  {
+    serve::DeltaSpec d;
+    d.kind = serve::DeltaSpec::Kind::SetConstraints;
+    d.performance_ns = 27000.0;
+    core::DesignConstraints c = project.config.constraints;
+    c.performance_ns = 27000.0;
+    cases.push_back(
+        {"set_constraints", d, core::EvalDelta::set_constraints(c)});
+  }
+
+  serve::JobOptions job;
+  job.heuristic = core::Heuristic::Enumeration;
+  serve::ChopServer server;
+  const serve::SubmitOutcome base = server.submit(project, job, "base");
+  ASSERT_EQ(base.status, serve::SubmitStatus::Accepted);
+  ASSERT_EQ(server.view("base", /*wait_terminal=*/true).state,
+            serve::JobState::Done);
+  for (const Case& c : cases) {
+    const serve::ReviseOutcome revised = server.revise("base", c.served);
+    ASSERT_EQ(revised.status, serve::ReviseStatus::Accepted) << c.name;
+    const serve::JobView view =
+        server.view(revised.submit.id, /*wait_terminal=*/true);
+    ASSERT_EQ(view.state, serve::JobState::Done) << c.name;
+    EXPECT_EQ(view.result_json, direct_render(project, job, &c.direct))
+        << c.name;
+  }
+}
+
+TEST(ServeRevise, UnresolvableNamesAreNotFound) {
+  const io::Project project = testing::build_scenario(small_knobs());
+  serve::DeltaSpec move;
+  move.kind = serve::DeltaSpec::Kind::MoveOp;
+  move.op_name = "no_such_node";
+  move.partition = project.partitions[0].name;
+  EXPECT_EQ(delta_error(project, move), "not_found");
+
+  move.op_name = project.graph.node(project.partitions[0].members[0]).name;
+  move.partition = "no_such_partition";
+  EXPECT_EQ(delta_error(project, move), "not_found");
+
+  serve::DeltaSpec retarget;
+  retarget.kind = serve::DeltaSpec::Kind::RetargetChip;
+  retarget.partition = project.partitions[0].name;
+  retarget.chip = "no_such_chip";
+  EXPECT_EQ(delta_error(project, retarget), "not_found");
+
+  serve::DeltaSpec package;
+  package.kind = serve::DeltaSpec::Kind::ReplacePackage;
+  package.chip = "no_such_chip";
+  package.package = "mosis64";
+  EXPECT_EQ(delta_error(project, package), "not_found");
+}
+
+TEST(ServeRevise, MovingTheLastOperationOutIsInvalid) {
+  io::Project project = testing::build_scenario(small_knobs());
+  ASSERT_GE(project.partitions.size(), 2u);
+  // Shrink the first partition to one member; the rest go to the second.
+  auto& first = project.partitions[0].members;
+  auto& second = project.partitions[1].members;
+  second.insert(second.end(), first.begin() + 1, first.end());
+  first.resize(1);
+
+  serve::DeltaSpec move;
+  move.kind = serve::DeltaSpec::Kind::MoveOp;
+  move.op_name = project.graph.node(first[0]).name;
+  move.partition = project.partitions[1].name;
+  EXPECT_EQ(delta_error(project, move), "invalid_delta");
+}
+
+TEST(ServeRevise, MovingAnInputNodeIsInvalid) {
+  const io::Project project = testing::build_scenario(small_knobs());
+  dfg::NodeId input = dfg::kNoNode;
+  for (dfg::NodeId id = 0;
+       id < static_cast<dfg::NodeId>(project.graph.node_count()); ++id) {
+    if (project.graph.node(id).kind == dfg::OpKind::Input) {
+      input = id;
+      break;
+    }
+  }
+  ASSERT_NE(input, dfg::kNoNode);
+  serve::DeltaSpec move;
+  move.kind = serve::DeltaSpec::Kind::MoveOp;
+  move.op_name = project.graph.node(input).name;
+  move.partition = project.partitions[0].name;
+  EXPECT_EQ(delta_error(project, move), "invalid_delta");
 }
 
 // --- Service (NDJSON dispatch) ------------------------------------------

@@ -8,6 +8,7 @@
 #include "chip/mosis_packages.hpp"
 #include "dfg/benchmarks.hpp"
 #include "library/experiment_library.hpp"
+#include "util/numbered.hpp"
 
 namespace chop::core {
 namespace {
@@ -22,7 +23,7 @@ ChopSession make_session(int nparts, bad::ClockingStyle clocking,
   static const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
   std::vector<chip::ChipInstance> chips;
   for (int c = 0; c < nparts; ++c) {
-    chips.push_back({"chip" + std::to_string(c), pkg});
+    chips.push_back({numbered("chip", c), pkg});
   }
   Partitioning pt(ar.graph, std::move(chips));
   const auto cuts =
@@ -30,7 +31,7 @@ ChopSession make_session(int nparts, bad::ClockingStyle clocking,
           ? std::vector<std::vector<dfg::NodeId>>{ar.all_operations()}
           : (nparts == 2 ? dfg::ar_two_way_cut(ar) : dfg::ar_three_way_cut(ar));
   for (int p = 0; p < nparts; ++p) {
-    pt.add_partition("P" + std::to_string(p + 1),
+    pt.add_partition(numbered("P", p + 1),
                      cuts[static_cast<std::size_t>(p)], p);
   }
   ChopConfig config;

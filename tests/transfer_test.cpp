@@ -6,6 +6,7 @@
 
 #include "chip/mosis_packages.hpp"
 #include "dfg/benchmarks.hpp"
+#include "util/numbered.hpp"
 
 namespace chop::core {
 namespace {
@@ -13,7 +14,7 @@ namespace {
 std::vector<chip::ChipInstance> chips(int n) {
   std::vector<chip::ChipInstance> out;
   for (int i = 0; i < n; ++i) {
-    out.push_back({"c" + std::to_string(i), chip::mosis_package_84()});
+    out.push_back({numbered("c", i), chip::mosis_package_84()});
   }
   return out;
 }

@@ -56,6 +56,7 @@
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
 #include "obs/trace.hpp"
+#include "util/numbered.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -406,7 +407,7 @@ int main(int argc, char** argv) {
       project.partitions.clear();
       for (std::size_t p = 0; p < r.members.size(); ++p) {
         project.partitions.push_back(core::Partition{
-            "P" + std::to_string(p + 1), r.members[p], static_cast<int>(p)});
+            numbered("P", p + 1), r.members[p], static_cast<int>(p)});
       }
     }
 
