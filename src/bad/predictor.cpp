@@ -34,7 +34,7 @@ DesignPrediction make_prediction(const PredictionRequest& req,
                                  const std::map<dfg::OpKind, int>& alloc,
                                  std::span<const Cycles> latency,
                                  const sched::OpSchedule& schedule,
-                                 DesignStyle style, Ns steering_guess) {
+                                 DesignStyle style) {
   const dfg::Graph& g = *req.graph;
   const lib::ComponentLibrary& library = *req.library;
   const lib::TechnologyParams& tech = library.technology();
@@ -100,7 +100,6 @@ DesignPrediction make_prediction(const PredictionRequest& req,
   const Ns wiring_delay =
       tech.wiring_delay_fraction.likely() * (dp.steering_delay + pla.delay);
   const Ns dp_overhead = dp.steering_delay + pla.delay + wiring_delay;
-  (void)steering_guess;
   p.clock_overhead_ns =
       dp_overhead / static_cast<double>(req.clocks.datapath_multiplier);
 
@@ -195,8 +194,7 @@ std::vector<DesignPrediction> Predictor::predict(
       schedules.add();
       CHOP_ASSERT(nonpipe.feasible, "nonpipelined list schedule cannot fail");
       out.push_back(make_prediction(req, set, alloc, latency, nonpipe,
-                                    DesignStyle::Nonpipelined,
-                                    eligibility_overhead));
+                                    DesignStyle::Nonpipelined));
       const Cycles stages = out.back().stages;
 
       if (!req.style.allow_pipelining || stages <= 1) continue;
@@ -210,8 +208,7 @@ std::vector<DesignPrediction> Predictor::predict(
         schedules.add();
         if (!pipe.feasible) continue;
         out.push_back(make_prediction(req, set, alloc, latency, pipe,
-                                      DesignStyle::Pipelined,
-                                      eligibility_overhead));
+                                      DesignStyle::Pipelined));
       }
     }
   }

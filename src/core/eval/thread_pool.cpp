@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "obs/metrics.hpp"
-
 namespace chop::core {
 
 namespace {
@@ -20,26 +18,6 @@ std::uint64_t next_rand(std::uint64_t& state) {
   return state * 0x2545F4914F6CDD1DULL;
 }
 
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt) {
-  std::uint64_t s = seed ^ (salt * 0x9E3779B97F4A7C15ULL);
-  return s == 0 ? 0x853C49E6748FEA9BULL : s;
-}
-
-/// Tasks executed by a thread that does not own their home deque.
-obs::Counter& stolen_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("search.units_stolen");
-  return c;
-}
-
-/// Worker identity for submit() routing: set for the lifetime of a
-/// worker thread, null on every other thread.
-struct WorkerId {
-  ThreadPool* pool = nullptr;
-  std::size_t index = 0;
-};
-thread_local WorkerId t_worker;
-
 }  // namespace
 
 void ThreadPool::set_scheduler_chaos_for_testing(std::uint64_t seed) {
@@ -52,175 +30,77 @@ int ThreadPool::resolve_threads(int requested) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ThreadPool::ThreadPool(int threads)
-    : chaos_seed_(g_chaos_seed.load(std::memory_order_relaxed)) {
+ThreadPool::ThreadPool(int threads) {
+  const std::uint64_t seed = g_chaos_seed.load(std::memory_order_relaxed);
+  if (seed != 0) chaos_state_ = seed * 0x9E3779B97F4A7C15ULL | 1;
   const int n = std::max(1, threads);
-  deques_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    deques_.push_back(std::make_unique<WorkerDeque>());
-  }
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    workers_.emplace_back(
-        [this, i] { worker_loop(static_cast<std::size_t>(i)); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(cv_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
   cv_.notify_all();
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::enqueue(std::size_t target, std::packaged_task<void()> task) {
-  WorkerDeque& dq = target < deques_.size() ? *deques_[target] : injector_;
-  std::lock_guard<std::mutex> lock(dq.mu);
-  dq.tasks.push_back(std::move(task));
-}
-
-void ThreadPool::announce(std::size_t count) {
-  {
-    std::lock_guard<std::mutex> lock(cv_mu_);
-    pending_ += static_cast<long long>(count);
-  }
-  if (count == 1) {
-    cv_.notify_one();
-  } else if (count > 1) {
-    cv_.notify_all();
-  }
-}
-
-std::future<void> ThreadPool::submit(std::function<void()> job) {
-  std::packaged_task<void()> task(std::move(job));
-  std::future<void> future = task.get_future();
-  const bool own_worker = t_worker.pool == this;
-  enqueue(own_worker ? t_worker.index : deques_.size(), std::move(task));
-  announce(1);
-  return future;
-}
-
 std::vector<std::future<void>> ThreadPool::submit_batch(
     std::vector<std::function<void()>> jobs) {
   std::vector<std::future<void>> futures;
   futures.reserve(jobs.size());
-  if (jobs.empty()) return futures;
-  const std::size_t n = deques_.size();
-  const std::size_t base =
-      next_scatter_.fetch_add(jobs.size(), std::memory_order_relaxed);
-  std::uint64_t rng = mix_seed(chaos_seed_, base + 1);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    std::packaged_task<void()> task(std::move(jobs[i]));
-    futures.push_back(task.get_future());
-    // Round-robin scatter seeds every worker with local work; under
-    // chaos the home deque is random so steals dominate.
-    const std::size_t target =
-        chaos_seed_ != 0 ? next_rand(rng) % n : (base + i) % n;
-    enqueue(target, std::move(task));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (std::function<void()>& job : jobs) {
+      std::packaged_task<void()> task(std::move(job));
+      futures.push_back(task.get_future());
+      tasks_.push_back(std::move(task));
+    }
   }
-  announce(jobs.size());
+  if (jobs.size() == 1) {
+    cv_.notify_one();
+  } else if (jobs.size() > 1) {
+    cv_.notify_all();
+  }
   return futures;
 }
 
-bool ThreadPool::pop_own(std::size_t self, std::packaged_task<void()>& task) {
-  WorkerDeque& dq = *deques_[self];
-  std::lock_guard<std::mutex> lock(dq.mu);
-  if (dq.tasks.empty()) return false;
-  // Owner runs LIFO: the most recently pushed task is the cache-hottest.
-  task = std::move(dq.tasks.back());
-  dq.tasks.pop_back();
-  return true;
-}
-
-bool ThreadPool::pop_injector(std::packaged_task<void()>& task) {
-  std::lock_guard<std::mutex> lock(injector_.mu);
-  if (injector_.tasks.empty()) return false;
-  task = std::move(injector_.tasks.front());
-  injector_.tasks.pop_front();
-  return true;
-}
-
-bool ThreadPool::steal(std::size_t self, std::uint64_t& rng,
-                       std::packaged_task<void()>& task) {
-  const std::size_t n = deques_.size();
-  if (n == 0) return false;
-  // Random starting victim, then a full rotation: no fixed victim order
-  // means no worker systematically starves another.
-  const std::size_t start = next_rand(rng) % n;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t victim = (start + i) % n;
-    if (victim == self) continue;
-    WorkerDeque& dq = *deques_[victim];
-    std::lock_guard<std::mutex> lock(dq.mu);
-    if (dq.tasks.empty()) continue;
-    // Thieves take FIFO — the opposite end from the owner, so the oldest
-    // (largest-remaining) work migrates and contention stays rare.
-    task = std::move(dq.tasks.front());
-    dq.tasks.pop_front();
-    stolen_counter().add();
-    return true;
+std::packaged_task<void()> ThreadPool::pop_locked(bool newest) {
+  auto it = newest ? tasks_.end() - 1 : tasks_.begin();
+  if (chaos_state_ != 0) {
+    it = tasks_.begin() + static_cast<std::ptrdiff_t>(next_rand(chaos_state_) %
+                                                      tasks_.size());
   }
-  return false;
+  std::packaged_task<void()> task = std::move(*it);
+  tasks_.erase(it);
+  return task;
 }
 
 bool ThreadPool::try_run_one() {
-  static thread_local std::uint64_t rng = mix_seed(
-      g_chaos_seed.load(std::memory_order_relaxed),
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) | 1);
   std::packaged_task<void()> task;
-  const std::size_t self =
-      t_worker.pool == this ? t_worker.index : deques_.size();
-  bool got = self < deques_.size() && pop_own(self, task);
-  if (!got) got = pop_injector(task) || steal(self, rng, task);
-  if (!got) return false;
   {
-    std::lock_guard<std::mutex> lock(cv_mu_);
-    --pending_;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (tasks_.empty()) return false;
+    task = pop_locked(/*newest=*/true);
   }
   task();
   return true;
 }
 
-void ThreadPool::worker_loop(std::size_t self) {
-  t_worker = WorkerId{this, self};
-  std::uint64_t rng = mix_seed(chaos_seed_, self + 1);
+void ThreadPool::worker_loop() {
   while (true) {
     std::packaged_task<void()> task;
-    bool got = false;
-    if (chaos_seed_ != 0) {
-      // Chaos mode: per-acquire random source preference, so repeated
-      // runs exercise genuinely different ownership/steal interleavings.
-      switch (next_rand(rng) % 3) {
-        case 0:
-          got = pop_own(self, task) || pop_injector(task) ||
-                steal(self, rng, task);
-          break;
-        case 1:
-          got = pop_injector(task) || steal(self, rng, task) ||
-                pop_own(self, task);
-          break;
-        default:
-          got = steal(self, rng, task) || pop_own(self, task) ||
-                pop_injector(task);
-          break;
-      }
-    } else {
-      got = pop_own(self, task) || pop_injector(task) ||
-            steal(self, rng, task);
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;  // stop_ with nothing left to drain
+      task = pop_locked(/*newest=*/false);
     }
-    if (got) {
-      {
-        std::lock_guard<std::mutex> lock(cv_mu_);
-        --pending_;
-      }
-      task();
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(cv_mu_);
-    cv_.wait(lock, [this] { return stop_ || pending_ > 0; });
-    if (stop_ && pending_ <= 0) return;
+    task();
   }
 }
 

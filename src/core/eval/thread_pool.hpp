@@ -1,17 +1,17 @@
-// Work-stealing thread pool for the evaluation engine. The parallel
-// enumeration submits one job per prefix unit; each worker owns a deque
-// it pushes and pops LIFO, idle workers steal FIFO from a randomly
-// rotated victim, and externally submitted jobs land in a shared
-// injector queue (batches are scattered across the worker deques so
-// there is something to steal from the first instant). The pool imposes
-// no ordering — determinism lives entirely in the caller's merge step —
-// so steal order is free to be random, and a test-only chaos seed makes
-// it adversarially random to prove exactly that.
+// Thread pool for the evaluation engine: one mutex-guarded queue of tasks
+// and one condition variable. Its users submit batches of coarse,
+// independent tasks (the search's prefix units, generation's portfolio
+// starts) and fold the results in index order, so the pool imposes no
+// ordering — determinism lives entirely in the caller's fold — and a
+// test-only chaos seed makes it pop pending tasks in pseudo-random order
+// to prove exactly that.
 //
-// Blocked callers can help: try_run_one() runs one pending job on the
-// calling thread, which lets a caller waiting on its own tasks drain the
-// pool instead of sleeping behind it — and lets serve share one pool
-// across concurrent jobs without a long search monopolizing it.
+// Workers take the oldest task. A blocked caller helps: try_run_one() runs
+// the newest task on the calling thread, usually a task of the caller's
+// own batch (or of a nested fold's inner batch). So when serve shares one
+// pool across concurrent jobs, a short job's tasks do not wait behind the
+// whole backlog of a long search submitted before it, and the long search
+// still advances on the workers.
 //
 // ordered_fold() is the one way the engines use a pool: the search's
 // prefix units and generation's portfolio starts both run as one batch
@@ -41,67 +41,44 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Drains the queues: jobs already submitted run to completion, then
+  /// Drains the queue: jobs already submitted run to completion, then
   /// the workers join.
   ~ThreadPool();
 
-  /// Enqueues `job`; the future becomes ready when it finishes (or rethrows
-  /// what it threw). Called from a pool worker, the job goes on that
-  /// worker's own deque (LIFO); otherwise it goes to the injector queue.
-  std::future<void> submit(std::function<void()> job);
-
-  /// Enqueues a batch, scattering the jobs round-robin across the worker
-  /// deques so every worker starts with local work and stealing only
-  /// balances the tail. Futures are in job order.
+  /// Appends a batch to the queue; each future becomes ready when its job
+  /// finishes (or rethrows what it threw). Futures are in job order.
   std::vector<std::future<void>> submit_batch(
       std::vector<std::function<void()>> jobs);
 
-  /// Runs one pending job on the calling thread (injector first, then a
-  /// steal). Returns false when nothing was runnable — never blocks.
+  /// Runs the newest pending job on the calling thread. Returns false
+  /// when nothing was queued — never blocks.
   bool try_run_one();
-
-  int size() const { return static_cast<int>(workers_.size()); }
 
   /// Maps a thread-count request to an actual worker count: values >= 1
   /// pass through, 0 (or negative) means "one worker per hardware
   /// thread" — the contract behind chop_cli/chopd `--threads=0`.
   static int resolve_threads(int requested);
 
-  /// Test-only scheduler chaos: a nonzero seed perturbs victim rotation
-  /// and queue preference per worker so repeated runs execute under
-  /// different interleavings. 0 (the default) restores the tuned order.
-  /// Applies to pools constructed after the call.
+  /// Test-only scheduler chaos: a nonzero seed makes every pop take a
+  /// pseudo-random pending job instead of the oldest (worker) or newest
+  /// (try_run_one), so repeated runs execute in different orders. 0 (the
+  /// default) restores that order. Applies to pools constructed after the
+  /// call.
   static void set_scheduler_chaos_for_testing(std::uint64_t seed);
 
  private:
-  struct WorkerDeque {
-    std::mutex mu;
-    std::deque<std::packaged_task<void()>> tasks;
-  };
+  /// Removes the newest or the oldest job from a non-empty queue; caller
+  /// holds mu_.
+  std::packaged_task<void()> pop_locked(bool newest);
+  void worker_loop();
 
-  void worker_loop(std::size_t self);
-  bool pop_own(std::size_t self, std::packaged_task<void()>& task);
-  bool pop_injector(std::packaged_task<void()>& task);
-  /// Steals FIFO from some other worker's deque; `self` == size() for
-  /// external helpers (no deque of their own to skip).
-  bool steal(std::size_t self, std::uint64_t& rng,
-             std::packaged_task<void()>& task);
-  void enqueue(std::size_t target, std::packaged_task<void()> task);
-  void announce(std::size_t count);
-
-  std::vector<std::thread> workers_;
-  std::vector<std::unique_ptr<WorkerDeque>> deques_;
-  WorkerDeque injector_;
-  std::uint64_t chaos_seed_ = 0;  ///< Snapshot at construction.
-  std::atomic<std::size_t> next_scatter_{0};  ///< Batch scatter cursor.
-
-  std::mutex cv_mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
-  /// Queued, not yet popped (under cv_mu_). Signed: a pop can observe a
-  /// task between its enqueue and its announce, so the count may dip
-  /// transiently negative.
-  long long pending_ = 0;
-  bool stop_ = false;
+  std::deque<std::packaged_task<void()>> tasks_;  ///< Guarded by mu_.
+  bool stop_ = false;                             ///< Guarded by mu_.
+  /// Chaos pick state (guarded by mu_); 0 keeps the oldest/newest order.
+  std::uint64_t chaos_state_ = 0;
+  std::vector<std::thread> workers_;
 };
 
 /// Waits for `f`, running queued pool jobs on the calling thread while it

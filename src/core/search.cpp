@@ -219,7 +219,7 @@ const std::vector<std::vector<bad::DesignPrediction>>& search_lists(
 // the split depth grows until at least kMinUnits units exist, independent
 // of the thread count, so the unit boundaries (and therefore every
 // observable output) are identical at any SearchOptions::threads. Units
-// evaluate concurrently on a work-stealing pool and merge strictly in
+// evaluate concurrently on a thread pool and merge strictly in
 // unit order. Each unit's frontier starts from deterministic seed probes
 // (greedy per-partition picks, evaluated up front) and grows only with
 // the unit's own feasible finds, so its pruning decisions never depend on
@@ -695,8 +695,8 @@ SearchResult search_enumeration(const EvalContext& ctx,
   {
     // A parallel search runs its units on a pool: an external one
     // (serve's, shared across jobs) interleaves them with everyone
-    // else's; otherwise a private work-stealing pool serves this search
-    // only. A serial search runs them inline.
+    // else's; otherwise a private pool, capped at one worker per unit,
+    // serves this search only. A serial search runs them inline.
     const bool parallel = options.threads > 1 && unit_count > 1;
     std::optional<obs::TraceSpan> span;
     ThreadPool* pool = nullptr;

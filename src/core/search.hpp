@@ -21,11 +21,12 @@
 // Pareto front, while provably returning the identical design set as the
 // exhaustive walk. The work is split on top-level digit prefixes into a
 // fixed number of units; every unit prunes against the same deterministic
-// seed probes plus its own finds, runs as one batch on a work-stealing
-// pool (SearchOptions::threads workers, or an external shared pool), and
-// merges in prefix order as soon as it is ready — the SearchResult
-// (trials, feasible_raw, designs, recorder contents, observer callback
-// sequence) is identical across thread counts and scheduling orders.
+// seed probes plus its own finds, runs as one batch on a thread pool
+// with one locked task queue (SearchOptions::threads workers, or an
+// external shared pool), and merges in prefix order as soon as it is
+// ready — the SearchResult (trials, feasible_raw, designs, recorder
+// contents, observer callback sequence) is identical across thread
+// counts and scheduling orders.
 #pragma once
 
 #include <atomic>
@@ -74,7 +75,7 @@ struct SearchOptions {
   /// building these options. The iterative heuristic is inherently
   /// sequential and ignores this.
   int threads = 1;
-  /// External work-stealing pool to run enumeration units on (not owned).
+  /// External thread pool to run enumeration units on (not owned).
   /// May be shared across concurrent searches — serve passes one shared
   /// pool so a long search's units interleave with other jobs instead of
   /// monopolizing workers. Null (the default): the search spins up a

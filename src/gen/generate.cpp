@@ -618,10 +618,12 @@ GenerateResult generate_partitions(const dfg::Graph& spec,
 
   // Portfolio: every start runs independently, folded in start order,
   // so the result does not depend on which worker runs what and when.
+  // A private pool never needs more workers than there are starts.
   core::ThreadPool* pool = options.pool;
   std::optional<core::ThreadPool> own_pool;
-  if (pool == nullptr && options.threads > 1) {
-    own_pool.emplace(options.threads);
+  const int workers = std::min(options.threads, options.num_starts);
+  if (pool == nullptr && workers > 1) {
+    own_pool.emplace(workers);
     pool = &*own_pool;
   }
 

@@ -13,8 +13,9 @@
 //     moves at every level. Candidate cuts are scored by the session
 //     pipeline: cheap per-partition prediction gates the move, the full
 //     search() runs only on survivors.
-//  3. Starts run on the shared work-stealing ThreadPool and share one
-//     memoizing CandidateEvaluator, so identical candidate integrations
+//  3. Starts run as one batch on a ThreadPool (a private one capped at
+//     num_starts workers, or a shared one) and share one memoizing
+//     CandidateEvaluator, so identical candidate integrations
 //     across starts are cache hits. Starts are independent — none reads
 //     another's progress — and their results fold in start order, so
 //     scheduling cannot change which cuts any start evaluates.

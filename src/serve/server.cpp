@@ -200,7 +200,7 @@ void ChopServer::run_job(const std::shared_ptr<Job>& job) {
     core::SearchOptions search;
     search.heuristic = job->options.heuristic;
     // threads: 0 = auto-detect; > 1 runs the job's enumeration units on
-    // the server-wide work-stealing pool, interleaved with other jobs'.
+    // the server-wide search pool, interleaved with other jobs'.
     search.threads = core::ThreadPool::resolve_threads(job->options.threads);
     search.pool = search_pool_.get();
     search.prune = !job->options.keep_all;

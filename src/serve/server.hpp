@@ -196,7 +196,7 @@ class ChopServer {
   /// Serializes shutdown(); later callers block until the first completes.
   std::mutex shutdown_mu_;
 
-  /// Work-stealing pool shared by every job's parallel enumeration
+  /// Thread pool shared by every job's parallel enumeration
   /// (SearchOptions::pool). Declared before the job workers — its only
   /// submitters — so it outlives them.
   std::unique_ptr<core::ThreadPool> search_pool_;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <future>
 #include <mutex>
 #include <numeric>
@@ -435,10 +436,12 @@ TEST(GenerateDeterminism, ThrowingStartDrainsExternalPool) {
   std::promise<void> parked;
   std::promise<void> release;
   const std::shared_future<void> released = release.get_future().share();
-  std::future<void> parking = pool.submit([&parked, released] {
+  std::vector<std::function<void()>> park;
+  park.push_back([&parked, released] {
     parked.set_value();
     released.wait();
   });
+  std::future<void> parking = std::move(pool.submit_batch(std::move(park))[0]);
   parked.get_future().wait();
 
   GenerateOptions options;

@@ -2,14 +2,17 @@
 // must produce a SearchResult — designs, trial counts, recorder contents,
 // observer callback sequence — byte-identical to the serial run, on the
 // Figure-7 (AR filter, keep-all) workload. The AdversarialScheduler suite
-// additionally perturbs the work-stealing pool's steal order through its
-// testing hook and demands the same byte-identity across 16 hostile
-// schedules.
+// additionally makes the pool pop its tasks in pseudo-random order
+// through its testing hook and demands the same byte-identity across 16
+// hostile schedules.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <future>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -367,10 +370,9 @@ void expect_same_observer_stream(const CaptureObserver& a,
   }
 }
 
-/// Forces adversarial scheduling for the lifetime of the guard: the pool
-/// constructed inside the search shuffles its task-source preference and
-/// steal victims from `seed`. The hook resets to the deterministic default
-/// on destruction.
+/// Forces adversarial scheduling for the lifetime of the guard: a pool
+/// constructed meanwhile pops pending tasks in an order drawn from `seed`.
+/// The hook resets to the default pop order on destruction.
 struct ScheduleChaos {
   explicit ScheduleChaos(std::uint64_t seed) {
     ThreadPool::set_scheduler_chaos_for_testing(seed);
@@ -463,20 +465,131 @@ TEST(ThreadPool, CallerCanHelpDrainTheQueue) {
 
 TEST(ThreadPool, RunsEverySubmittedJob) {
   ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4);
   std::atomic<int> ran{0};
-  std::vector<std::future<void>> done;
+  std::vector<std::function<void()>> jobs;
   for (int i = 0; i < 64; ++i) {
-    done.push_back(pool.submit([&ran] { ran.fetch_add(1); }));
+    jobs.push_back([&ran] { ran.fetch_add(1); });
   }
-  for (auto& f : done) f.get();
+  for (auto& f : pool.submit_batch(std::move(jobs))) f.get();
   EXPECT_EQ(ran.load(), 64);
 }
 
 TEST(ThreadPool, PropagatesExceptionsThroughFutures) {
   ThreadPool pool(2);
-  auto f = pool.submit([] { throw Error("boom"); });
-  EXPECT_THROW(f.get(), Error);
+  std::vector<std::function<void()>> jobs;
+  jobs.push_back([] { throw Error("boom"); });
+  auto futures = pool.submit_batch(std::move(jobs));
+  EXPECT_THROW(futures[0].get(), Error);
+}
+
+/// Order in which a 1-worker pool runs a 16-job batch; the caller only
+/// waits, so the worker alone decides the order.
+std::vector<int> single_worker_run_order(std::uint64_t chaos_seed) {
+  ScheduleChaos chaos(chaos_seed);
+  ThreadPool pool(1);
+  std::mutex mu;
+  std::vector<int> order;
+  std::vector<std::function<void()>> jobs;
+  for (int i = 0; i < 16; ++i) {
+    jobs.push_back([&mu, &order, i] {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(i);
+    });
+  }
+  for (auto& f : pool.submit_batch(std::move(jobs))) f.get();
+  return order;
+}
+
+TEST(ThreadPool, OneWorkerRunsFifoUnlessChaosReorders) {
+  std::vector<int> fifo(16);
+  for (int i = 0; i < 16; ++i) fifo[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(single_worker_run_order(0), fifo);
+  // The chaos hook must actually perturb the schedule, or the
+  // AdversarialScheduler suite proves nothing.
+  bool reordered = false;
+  for (std::uint64_t seed = 1; seed <= 4 && !reordered; ++seed) {
+    std::vector<int> order = single_worker_run_order(seed);
+    reordered = order != fifo;
+    std::sort(order.begin(), order.end());
+    EXPECT_EQ(order, fifo) << "seed " << seed;
+  }
+  EXPECT_TRUE(reordered);
+}
+
+TEST(ThreadPool, CallerHelpsNewestFirst) {
+  // Park the only worker; the caller then drains two batches alone, newest
+  // task first — on a shared pool a waiting caller runs its own recent
+  // batch before an older backlog.
+  ThreadPool pool(1);
+  std::promise<void> parked;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::vector<std::function<void()>> park;
+  park.push_back([&parked, released] {
+    parked.set_value();
+    released.wait();
+  });
+  std::future<void> parking = std::move(pool.submit_batch(std::move(park))[0]);
+  parked.get_future().wait();
+
+  std::vector<int> order;
+  std::vector<std::future<void>> futures;
+  for (int batch = 0; batch < 2; ++batch) {
+    std::vector<std::function<void()>> jobs;
+    for (int i = 0; i < 4; ++i) {
+      jobs.push_back([&order, batch, i] { order.push_back(batch * 4 + i); });
+    }
+    for (auto& f : pool.submit_batch(std::move(jobs))) {
+      futures.push_back(std::move(f));
+    }
+  }
+  while (pool.try_run_one()) {
+  }
+  for (auto& f : futures) f.get();
+  EXPECT_EQ(order, (std::vector<int>{7, 6, 5, 4, 3, 2, 1, 0}));
+  release.set_value();
+  parking.get();
+}
+
+TEST(ThreadPool, NestedOrderedFoldCompletesInIndexOrder) {
+  // Each outer task folds its own inner batch on the same pool, so a
+  // thread waiting on one fold must help run the other's tasks.
+  for (const int workers : {1, 2}) {
+    for (const std::uint64_t seed : {0u, 1u, 2u, 3u}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " seed=" + std::to_string(seed));
+      ScheduleChaos chaos(seed);
+      ThreadPool pool(workers);
+      std::atomic<bool> outer_stop{false};
+      std::vector<std::size_t> outer_order;
+      std::vector<std::vector<std::size_t>> inner_orders;
+      ordered_fold(
+          &pool, 6, outer_stop,
+          [&pool](std::size_t o) {
+            std::atomic<bool> inner_stop{false};
+            std::vector<std::size_t> inner_order;
+            ordered_fold(
+                &pool, 5, inner_stop,
+                [o](std::size_t i) { return o * 10 + i; },
+                [&inner_order](std::size_t, std::size_t v) {
+                  inner_order.push_back(v);
+                });
+            return inner_order;
+          },
+          [&](std::size_t o, std::vector<std::size_t> inner) {
+            outer_order.push_back(o);
+            inner_orders.push_back(std::move(inner));
+          });
+      ASSERT_EQ(outer_order.size(), 6u);
+      for (std::size_t o = 0; o < 6; ++o) {
+        EXPECT_EQ(outer_order[o], o);
+        ASSERT_EQ(inner_orders[o].size(), 5u);
+        for (std::size_t i = 0; i < 5; ++i) {
+          EXPECT_EQ(inner_orders[o][i], o * 10 + i);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

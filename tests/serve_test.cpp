@@ -138,7 +138,7 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
             "invalid_request");
   EXPECT_EQ(code(R"({"op":"submit","spec":"x","threads":257})"),
             "invalid_request");
-  // threads:0 = server auto-detects — valid since the work-stealing pool.
+  // threads:0 = server auto-detects one worker per hardware thread.
   EXPECT_EQ(code(R"({"op":"submit","spec":"x","threads":0})"), "");
   EXPECT_EQ(code(R"({"op":"status"})"), "invalid_request");  // no id
   EXPECT_EQ(code(R"({"op":"stats","op":"stats"})"), "invalid_request");

@@ -3,7 +3,7 @@
 //   chop_cli <project.chop> [options]
 //     --heuristic=E|I   search heuristic (default I, the Figure-5 walk)
 //     --threads=N       worker threads for the enumeration heuristic
-//                       (default 1; 0 = one worker per hardware thread;
+//                       (0..256, default 1; 0 = one worker per hardware thread;
 //                       results are identical at any thread count)
 //     --no-bound-pruning  disable the branch-and-bound subtree pruning of
 //                       the enumeration search (identical designs either
@@ -97,9 +97,9 @@ int usage() {
          "                [--save=<file>] [--report=<file>] [--trace=<file>]\n"
          "                [--metrics=<file>] [--progress]\n"
          "                [--certify[=<max-product>]] [--certify-out=<file>]\n"
-         "  --threads=N runs the enumeration search on N workers (default 1;\n"
-         "  N=0 auto-detects one worker per hardware thread); any thread\n"
-         "  count produces identical results.\n"
+         "  --threads=N runs the enumeration search on N workers (0..256,\n"
+         "  default 1; N=0 auto-detects one worker per hardware thread); any\n"
+         "  thread count produces identical results.\n"
          "  --no-bound-pruning disables the enumeration search's\n"
          "  branch-and-bound subtree pruning (the design set is identical\n"
          "  either way; only the number of visited leaves changes).\n"
@@ -111,13 +111,14 @@ int usage() {
   return 1;
 }
 
-/// Parses a thread count (0 = auto-detect hardware concurrency, same
-/// contract as chopd); returns -1 on garbage.
+/// Parses a thread count in [0, 256] (0 = auto-detect hardware
+/// concurrency; the same contract and bound as chopd and the protocol's
+/// `threads`); returns -1 on garbage or an out-of-range count.
 int parse_threads(const std::string& value) {
   try {
     std::size_t used = 0;
     const int n = std::stoi(value, &used);
-    if (used != value.size() || n < 0) return -1;
+    if (used != value.size() || n < 0 || n > 256) return -1;
     return n;
   } catch (...) {
     return -1;
