@@ -13,7 +13,9 @@
 // 1k and 10k; `--huge` adds the 100k workload, where a single pipeline
 // evaluation costs minutes (prediction-dominated) and the stage runs for
 // the better part of an hour. Every run merges a scoreboard entry per
-// workload into BENCH_generate.json.
+// workload into BENCH_generate.json. `--help` prints the usage; any other
+// argument that is not a Google Benchmark flag is refused before any
+// workload runs.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -287,16 +289,38 @@ void BM_generate(benchmark::State& state) {
 }
 BENCHMARK(BM_generate)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
+constexpr const char* kUsage =
+    "usage: bench_generate [--quick | --huge] [--benchmark_*...]\n"
+    "  --quick  the 1k-operation workload only; exit 1 when an acceptance\n"
+    "           check fails\n"
+    "  --huge   add the 100k-operation workload to the full 1k + 10k run\n"
+    "  --help   print this text and Google Benchmark's flags\n";
+
+void print_usage() {
+  std::cout << kUsage << "\n";
+  benchmark::PrintDefaultHelp();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  chop::bench::ScopedMetricsDump metrics_dump("bench_generate");
+  // Google Benchmark strips its own --benchmark_* flags (and answers
+  // --help through print_usage) before anything runs.
+  benchmark::Initialize(&argc, argv, print_usage);
   bool quick = false;
   bool huge = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--huge") == 0) huge = true;
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      quick = true;
+    } else if (std::strcmp(argv[i], "--huge") == 0) {
+      huge = true;
+    } else {
+      std::cerr << "bench_generate: unknown argument '" << argv[i] << "'\n"
+                << kUsage;
+      return 2;
+    }
   }
+  chop::bench::ScopedMetricsDump metrics_dump("bench_generate");
 
   if (quick) {
     // CI perf smoke: 1k operations, small portfolio, hard pass/fail.
@@ -324,7 +348,6 @@ int main(int argc, char** argv) {
   }
   std::cout << (ok ? "acceptance: PASS\n" : "acceptance: FAIL\n");
 
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return ok ? 0 : 1;
 }

@@ -9,7 +9,10 @@
 // partition count) is the reproduced claim.
 #include <benchmark/benchmark.h>
 
+#include "bad/predictor.hpp"
 #include "common.hpp"
+#include "dfg/generator.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 
@@ -40,6 +43,42 @@ void BM_bad_prediction_pass(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_bad_prediction_pass)->Arg(1)->Arg(2)->Arg(3);
+
+/// Scaling of one BAD sweep with partition size: one Predictor::predict on
+/// an n-op random layered DAG (depth n/50) with the experiment library,
+/// single-cycle on the 10x datapath clock, every II up to the stage count.
+/// `time_per_schedule` is wall time per list or modulo schedule run, in
+/// seconds (printed with an SI prefix: 16u is 16 µs).
+void BM_predict_random_dag(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(7001);
+  dfg::RandomDagSpec spec;
+  spec.operations = n;
+  spec.depth = n / 50;
+  const dfg::BenchmarkGraph bg = dfg::random_dag(rng, spec);
+  bad::PredictionRequest req;
+  req.graph = &bg.graph;
+  req.library = &bench::experiment_library();
+  req.style.clocking = bad::ClockingStyle::SingleCycle;
+  req.clocks = {300.0, 10, 1};
+  const bad::Predictor predictor;
+  const obs::Counter& schedules =
+      obs::MetricsRegistry::global().counter("bad.schedules");
+  const std::uint64_t before = schedules.value();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(predictor.predict(req));
+  }
+  const auto total = static_cast<double>(schedules.value() - before);
+  state.counters["schedules"] =
+      total / static_cast<double>(state.iterations());
+  state.counters["time_per_schedule"] = benchmark::Counter(
+      total, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_predict_random_dag)
+    ->Arg(250)
+    ->Arg(1000)
+    ->Arg(2000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
 
 #include "bad/controller_model.hpp"
 #include "bad/datapath_model.hpp"
@@ -28,23 +30,48 @@ std::map<int, int> memory_profile(const dfg::Graph& g) {
   return accesses;
 }
 
+/// What make_prediction needs that does not depend on the allocation or
+/// the schedule: computed once per module set.
+struct ModuleSetFacts {
+  const lib::ModuleSet* set = nullptr;
+  std::span<const Cycles> latency;
+  std::string label;
+  std::map<dfg::OpKind, std::string> module_names;
+  Bits max_width = 1;
+  std::map<dfg::OpKind, Cycles> busy_cycles;
+  std::map<int, int> memory_accesses;
+};
+
+ModuleSetFacts module_set_facts(const dfg::Graph& g, const lib::ModuleSet& set,
+                                std::span<const Cycles> latency) {
+  ModuleSetFacts facts;
+  facts.set = &set;
+  facts.latency = latency;
+  facts.label = set.label();
+  for (const auto& [kind, module] : set.choices()) {
+    facts.module_names[kind] = module->name;
+    facts.max_width = std::max(facts.max_width, module->width);
+  }
+  facts.busy_cycles = busy_cycles_by_kind(g, latency);
+  facts.memory_accesses = memory_profile(g);
+  return facts;
+}
+
 /// Builds the full DesignPrediction for one scheduled point.
 DesignPrediction make_prediction(const PredictionRequest& req,
-                                 const lib::ModuleSet& set,
+                                 const ModuleSetFacts& facts,
                                  const std::map<dfg::OpKind, int>& alloc,
-                                 std::span<const Cycles> latency,
                                  const sched::OpSchedule& schedule,
                                  DesignStyle style) {
   const dfg::Graph& g = *req.graph;
   const lib::ComponentLibrary& library = *req.library;
   const lib::TechnologyParams& tech = library.technology();
+  const lib::ModuleSet& set = *facts.set;
 
   DesignPrediction p;
   p.style = style;
-  p.module_set_label = set.label();
-  for (const auto& [kind, module] : set.choices()) {
-    p.module_names[kind] = module->name;
-  }
+  p.module_set_label = facts.label;
+  p.module_names = facts.module_names;
   p.fu_alloc = alloc;
   p.stages = std::max<Cycles>(1, schedule.length);
   p.ii_dp = style == DesignStyle::Pipelined
@@ -53,7 +80,8 @@ DesignPrediction make_prediction(const PredictionRequest& req,
   p.ii_main = p.ii_dp * req.clocks.datapath_multiplier;
   p.latency_main = p.stages * req.clocks.datapath_multiplier;
 
-  DatapathEstimate dp = estimate_datapath(g, latency, schedule, alloc, library);
+  DatapathEstimate dp =
+      estimate_datapath(g, facts.latency, schedule, alloc, library);
   // Scan-design overheads (§5): heavier registers, a scan mux on the
   // register setup path, a fatter controller.
   const TestabilityOptions& test = req.testability;
@@ -76,12 +104,9 @@ DesignPrediction make_prediction(const PredictionRequest& req,
   p.register_area = dp.register_area;
   p.mux_area = dp.mux_area;
 
-  Bits max_width = 1;
-  for (const auto& [kind, module] : set.choices()) {
-    max_width = std::max(max_width, module->width);
-  }
   const int register_words = static_cast<int>(
-      (p.register_bits + max_width - 1) / std::max<Bits>(1, max_width));
+      (p.register_bits + facts.max_width - 1) /
+      std::max<Bits>(1, facts.max_width));
   const PlaEstimate pla = estimate_controller(
       p.stages, fu_total, register_words,
       static_cast<int>(dp.mux_count.likely()), tech);
@@ -106,10 +131,10 @@ DesignPrediction make_prediction(const PredictionRequest& req,
   const AreaMil2 support_area = p.register_area.likely() +
                                 p.mux_area.likely() +
                                 p.controller_area.likely();
-  p.power_mw = estimate_datapath_power(set, alloc, busy_cycles_by_kind(g, latency),
-                                       p.ii_dp, support_area, tech);
+  p.power_mw = estimate_datapath_power(set, alloc, facts.busy_cycles, p.ii_dp,
+                                       support_area, tech);
 
-  p.memory_accesses = memory_profile(g);
+  p.memory_accesses = facts.memory_accesses;
   return p;
 }
 
@@ -164,6 +189,8 @@ std::vector<DesignPrediction> Predictor::predict(
     if (!latency_opt) continue;  // single-cycle: module set does not fit
     module_sets.add();
     const std::vector<Cycles>& latency = *latency_opt;
+    const ModuleSetFacts facts = module_set_facts(g, set, latency);
+    const sched::SchedulePlan plan(g, latency);
 
     // Allocation sweep: cartesian product of per-kind unit counts.
     std::vector<std::map<dfg::OpKind, int>> allocs{{}};
@@ -190,24 +217,23 @@ std::vector<DesignPrediction> Predictor::predict(
       limits.fu = alloc;
       limits.memory_ports = req.memory_ports;
 
-      const sched::OpSchedule nonpipe = sched::list_schedule(g, latency, limits);
+      const sched::OpSchedule nonpipe = plan.list_schedule(limits);
       schedules.add();
       CHOP_ASSERT(nonpipe.feasible, "nonpipelined list schedule cannot fail");
-      out.push_back(make_prediction(req, set, alloc, latency, nonpipe,
+      out.push_back(make_prediction(req, facts, alloc, nonpipe,
                                     DesignStyle::Nonpipelined));
       const Cycles stages = out.back().stages;
 
       if (!req.style.allow_pipelining || stages <= 1) continue;
       const Cycles min_ii =
-          std::max<Cycles>(1, sched::min_initiation_interval(g, latency, limits));
+          std::max<Cycles>(1, plan.min_initiation_interval(limits));
       Cycles ii_cap = stages - 1;
       if (req.max_ii_dp > 0) ii_cap = std::min(ii_cap, req.max_ii_dp);
       for (Cycles ii = min_ii; ii <= ii_cap; ++ii) {
-        const sched::OpSchedule pipe =
-            sched::pipeline_schedule(g, latency, limits, ii);
+        const sched::OpSchedule pipe = plan.pipeline_schedule(limits, ii);
         schedules.add();
         if (!pipe.feasible) continue;
-        out.push_back(make_prediction(req, set, alloc, latency, pipe,
+        out.push_back(make_prediction(req, facts, alloc, pipe,
                                       DesignStyle::Pipelined));
       }
     }

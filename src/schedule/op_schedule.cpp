@@ -7,111 +7,181 @@ namespace chop::sched {
 
 namespace {
 
-/// Internal resource-class key: functional-unit kinds map to themselves,
-/// memory ops map to a per-block class, everything else to "none".
-struct ResourceKey {
-  bool used = false;
-  bool is_memory = false;
-  dfg::OpKind kind = dfg::OpKind::Add;
-  int block = -1;
-
-  bool operator==(const ResourceKey&) const = default;
-};
-
-ResourceKey key_for(const dfg::Node& node) {
-  ResourceKey key;
-  if (dfg::needs_functional_unit(node.kind)) {
-    key.used = true;
-    key.kind = node.kind;
-  } else if (node.kind == dfg::OpKind::MemRead ||
-             node.kind == dfg::OpKind::MemWrite) {
-    key.used = true;
-    key.is_memory = true;
-    key.block = node.memory_block;
-  }
-  return key;
+bool is_memory_op(dfg::OpKind kind) {
+  return kind == dfg::OpKind::MemRead || kind == dfg::OpKind::MemWrite;
 }
 
-/// Dense per-class usage timeline (and modulo-II phases for pipelining).
-class UsageTracker {
+/// First-fit slot search for one resource class of `capacity` units
+/// (negative: unlimited).
+///
+/// Nonpipelined (`ii == 0`) it counts usage per absolute cycle. Pipelined,
+/// it counts usage per phase modulo `ii` only: a reservation adds 1 to
+/// every cycle it covers and 1 to every phase it covers (once per phase,
+/// however long the op), so a cycle's usage never exceeds its phase's and
+/// the phase check alone decides whether a start fits. Fitting then
+/// depends only on the start's phase, so at most `ii` candidate starts
+/// exist; when none fits, none ever will.
+///
+/// Cells only fill up, so a full cell points at the next cell to try
+/// (`next_[c] == c` marks a cell below capacity; pointers are
+/// path-compressed, and wrap around the phases when pipelined). A search
+/// jumps over runs of full cells instead of walking them, and a multi-cycle
+/// op whose window hits a full cell restarts just past it.
+class SlotFinder {
  public:
-  UsageTracker(int capacity, Cycles ii) : capacity_(capacity), ii_(ii) {
-    if (ii_ > 0) phase_.assign(static_cast<std::size_t>(ii_), 0);
-  }
+  static constexpr Cycles kNoSlot = -1;
 
-  bool fits(Cycles t, Cycles duration) const {
-    if (capacity_ < 0) return true;  // unlimited
-    for (Cycles c = t; c < t + duration; ++c) {
-      if (usage_at(c) + 1 > capacity_) return false;
-    }
+  SlotFinder(int capacity, Cycles ii) : capacity_(capacity), ii_(ii) {
     if (ii_ > 0) {
-      // Modulo reservation: each phase touched by [t, t+duration) once.
-      const Cycles span = std::min(duration, ii_);
-      for (Cycles j = 0; j < span; ++j) {
-        const auto p = static_cast<std::size_t>((t + j) % ii_);
-        if (phase_[p] + 1 > capacity_) return false;
-      }
+      used_.assign(static_cast<std::size_t>(ii_), 0);
+      next_.resize(static_cast<std::size_t>(ii_));
+      std::iota(next_.begin(), next_.end(), Cycles{0});
     }
-    return true;
   }
 
+  /// Earliest start >= `ready` at which an op busy for `duration` cycles
+  /// fits, or kNoSlot when no start does.
+  Cycles first_fit(Cycles ready, Cycles duration) {
+    if (capacity_ < 0) return ready;
+    if (capacity_ == 0) return kNoSlot;
+    if (ii_ == 0) {
+      Cycles t = next_free(ready);
+      for (Cycles c = t + 1; c < t + duration; ++c) {
+        if (full(c)) {
+          t = next_free(c + 1);
+          c = t;
+        }
+      }
+      return t;
+    }
+    const Cycles span = std::min(duration, ii_);
+    Cycles k = 0;  // candidate start is ready + k
+    while (k < ii_) {
+      const Cycles p = (ready + k) % ii_;
+      const Cycles q = next_free(p);
+      if (q == kNoSlot) return kNoSlot;
+      k += (q - p + ii_) % ii_;
+      if (k >= ii_) return kNoSlot;
+      Cycles j = 1;
+      while (j < span && !full((q + j) % ii_)) ++j;
+      if (j == span) return ready + k;
+      k += j + 1;
+    }
+    return kNoSlot;
+  }
+
+  /// Occupies [t, t + duration); the caller found `t` with first_fit.
   void reserve(Cycles t, Cycles duration) {
     if (capacity_ < 0) return;
-    if (t + duration > static_cast<Cycles>(timeline_.size())) {
-      timeline_.resize(static_cast<std::size_t>(t + duration), 0);
+    if (ii_ == 0) {
+      const auto end = static_cast<std::size_t>(t + duration);
+      if (end > used_.size()) {
+        const std::size_t old = next_.size();
+        used_.resize(end, 0);
+        next_.resize(end);
+        std::iota(next_.begin() + static_cast<std::ptrdiff_t>(old),
+                  next_.end(), static_cast<Cycles>(old));
+      }
+      for (Cycles c = t; c < t + duration; ++c) {
+        const auto i = static_cast<std::size_t>(c);
+        if (++used_[i] == capacity_) next_[i] = c + 1;
+      }
+      return;
     }
-    for (Cycles c = t; c < t + duration; ++c) {
-      timeline_[static_cast<std::size_t>(c)]++;
-    }
-    if (ii_ > 0) {
-      const Cycles span = std::min(duration, ii_);
-      for (Cycles j = 0; j < span; ++j) {
-        phase_[static_cast<std::size_t>((t + j) % ii_)]++;
+    const Cycles span = std::min(duration, ii_);
+    for (Cycles j = 0; j < span; ++j) {
+      const auto p = static_cast<std::size_t>((t + j) % ii_);
+      if (++used_[p] == capacity_) {
+        next_[p] = (static_cast<Cycles>(p) + 1) % ii_;
+        ++full_cells_;
       }
     }
   }
 
  private:
-  int usage_at(Cycles c) const {
-    return c < static_cast<Cycles>(timeline_.size())
-               ? timeline_[static_cast<std::size_t>(c)]
-               : 0;
+  bool full(Cycles c) const {
+    return c < static_cast<Cycles>(used_.size()) &&
+           used_[static_cast<std::size_t>(c)] >= capacity_;
+  }
+
+  /// First cell at or after `c` (circularly when pipelined) below
+  /// capacity; kNoSlot when every phase is full. Cells past the end of a
+  /// nonpipelined timeline are empty.
+  Cycles next_free(Cycles c) {
+    if (ii_ > 0 && full_cells_ == ii_) return kNoSlot;
+    const auto size = static_cast<Cycles>(next_.size());
+    Cycles root = c;
+    while (root < size && next_[static_cast<std::size_t>(root)] != root) {
+      root = next_[static_cast<std::size_t>(root)];
+    }
+    while (c != root && c < size) {
+      const Cycles after = next_[static_cast<std::size_t>(c)];
+      next_[static_cast<std::size_t>(c)] = root;
+      c = after;
+    }
+    return root;
   }
 
   int capacity_;
   Cycles ii_;
-  std::vector<int> timeline_;
-  std::vector<int> phase_;
+  std::vector<int> used_;     ///< Per cycle, or per phase when pipelined.
+  std::vector<Cycles> next_;  ///< Next cell to try; itself when not full.
+  Cycles full_cells_ = 0;     ///< Full phases (pipelined only).
 };
 
-/// Shared core of the nonpipelined and pipelined schedulers. `ii == 0`
-/// means nonpipelined (no modulo reservation, always feasible).
-OpSchedule schedule_impl(const dfg::Graph& g, std::span<const Cycles> latency,
-                         const ResourceLimits& limits, Cycles ii) {
+}  // namespace
+
+int ResourceLimits::limit_for(const dfg::Node& node) const {
+  if (dfg::needs_functional_unit(node.kind)) {
+    auto it = fu.find(node.kind);
+    return it == fu.end() ? -1 : it->second;
+  }
+  if (is_memory_op(node.kind)) {
+    auto it = memory_ports.find(node.memory_block);
+    return it == memory_ports.end() ? -1 : it->second;
+  }
+  return 0;
+}
+
+SchedulePlan::SchedulePlan(const dfg::Graph& g,
+                           std::span<const Cycles> latency)
+    : graph_(&g), latency_(latency.begin(), latency.end()) {
   CHOP_REQUIRE(latency.size() == g.node_count(),
                "latency vector size must match node count");
+  CHOP_REQUIRE(std::all_of(latency.begin(), latency.end(),
+                           [](Cycles l) { return l >= 0; }),
+               "operation latencies must be non-negative");
+  const std::size_t n = g.node_count();
   const dfg::Levels levels = dfg::compute_levels(g, latency);
 
-  // Resource classes present in this graph.
-  std::vector<ResourceKey> keys;
-  std::vector<UsageTracker> trackers;
-  std::vector<int> class_of(g.node_count(), -1);
-  for (std::size_t i = 0; i < g.node_count(); ++i) {
-    const ResourceKey key = key_for(g.node(static_cast<dfg::NodeId>(i)));
-    if (!key.used) continue;
-    auto it = std::find(keys.begin(), keys.end(), key);
-    if (it == keys.end()) {
-      keys.push_back(key);
-      trackers.emplace_back(limits.limit_for(g.node(static_cast<dfg::NodeId>(i))),
-                            ii);
-      it = keys.end() - 1;
+  // Resource classes: functional-unit kinds map to themselves, memory ops
+  // to a per-block class, everything else to none.
+  class_of_.assign(n, -1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const dfg::Node& node = g.node(static_cast<dfg::NodeId>(i));
+    const bool memory = is_memory_op(node.kind);
+    if (!memory && !dfg::needs_functional_unit(node.kind)) continue;
+    auto it = std::find_if(
+        classes_.begin(), classes_.end(), [&](const ResourceClass& c) {
+          return c.is_memory == memory &&
+                 (memory ? c.block == node.memory_block : c.kind == node.kind);
+        });
+    if (it == classes_.end()) {
+      ResourceClass c;
+      c.is_memory = memory;
+      c.kind = node.kind;
+      c.block = memory ? node.memory_block : -1;
+      c.representative = static_cast<dfg::NodeId>(i);
+      classes_.push_back(c);
+      it = classes_.end() - 1;
     }
-    class_of[i] = static_cast<int>(it - keys.begin());
+    it->busy += latency_[i];
+    class_of_[i] = static_cast<int>(it - classes_.begin());
   }
 
   // Priority order: ALAP ascending (most urgent first), critical path as
   // tiebreak via ASAP, then id for determinism.
-  std::vector<dfg::NodeId> order(g.node_count());
+  std::vector<dfg::NodeId> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](dfg::NodeId a, dfg::NodeId b) {
     const auto ia = static_cast<std::size_t>(a);
@@ -125,122 +195,122 @@ OpSchedule schedule_impl(const dfg::Graph& g, std::span<const Cycles> latency,
     return a < b;
   });
 
-  OpSchedule out;
-  out.start.assign(g.node_count(), 0);
-  out.feasible = true;
-
-  // Horizon: generous but finite, so an infeasible II terminates.
-  Cycles total_latency = 0;
-  for (Cycles l : latency) total_latency += l;
-  const Cycles horizon = levels.length + total_latency + (ii > 0 ? ii : 0) + 4;
-
-  // Iterate in dependency-respecting priority order: process nodes in topo
-  // order but pick among ready nodes by priority. Simpler: repeatedly scan
-  // the priority list for nodes whose predecessors are placed.
-  std::vector<bool> placed(g.node_count(), false);
-  std::size_t remaining = g.node_count();
-  while (remaining > 0) {
-    bool progressed = false;
-    for (dfg::NodeId id : order) {
-      const auto i = static_cast<std::size_t>(id);
-      if (placed[i]) continue;
-      Cycles ready = 0;
-      bool deps_ok = true;
-      for (dfg::EdgeId e : g.fanin(id)) {
-        const dfg::NodeId src = g.edge(e).src;
-        const auto s = static_cast<std::size_t>(src);
-        if (!placed[s]) {
-          deps_ok = false;
-          break;
-        }
-        ready = std::max(ready, out.start[s] + latency[s]);
-      }
-      if (!deps_ok) continue;
-
-      const int cls = class_of[i];
-      Cycles t = ready;
-      if (cls >= 0 && latency[i] > 0) {
-        while (t <= horizon &&
-               !trackers[static_cast<std::size_t>(cls)].fits(t, latency[i])) {
-          ++t;
-        }
-        if (t > horizon) {
-          out.feasible = false;
-          return out;
-        }
-        trackers[static_cast<std::size_t>(cls)].reserve(t, latency[i]);
-      }
-      out.start[i] = t;
-      out.length = std::max(out.length, t + latency[i]);
-      placed[i] = true;
-      --remaining;
-      progressed = true;
+  // The list scheduler places nodes in priority order, each once its
+  // predecessors are placed. A predecessor always ranks first: ALAP and
+  // ASAP never decrease along an edge (latencies are non-negative), and
+  // the graph builder gives every node a larger id than its operands. So
+  // one pass over the priority list places every node.
+  std::vector<std::size_t> rank(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    rank[static_cast<std::size_t>(order[k])] = k;
+  }
+  pred_begin_.reserve(n + 1);
+  pred_begin_.push_back(0);
+  for (dfg::NodeId id : order) {
+    for (dfg::EdgeId e : g.fanin(id)) {
+      const dfg::NodeId src = g.edge(e).src;
+      CHOP_ASSERT(rank[static_cast<std::size_t>(src)] <
+                      rank[static_cast<std::size_t>(id)],
+                  "priority order is not topological");
+      preds_.push_back(src);
     }
-    CHOP_ASSERT(progressed, "scheduler made no progress on an acyclic graph");
+    pred_begin_.push_back(preds_.size());
+  }
+  order_ = std::move(order);
+
+  const Cycles total_latency =
+      std::accumulate(latency_.begin(), latency_.end(), Cycles{0});
+  horizon_base_ = levels.length + total_latency + 4;
+}
+
+OpSchedule SchedulePlan::schedule(const ResourceLimits& limits,
+                                  Cycles ii) const {
+  std::vector<SlotFinder> finders;
+  finders.reserve(classes_.size());
+  for (const ResourceClass& c : classes_) {
+    finders.emplace_back(limits.limit_for(graph_->node(c.representative)), ii);
   }
 
+  OpSchedule out;
+  out.start.assign(latency_.size(), 0);
+  out.feasible = true;
+  const Cycles horizon = horizon_base_ + ii;
+  for (std::size_t k = 0; k < order_.size(); ++k) {
+    const auto i = static_cast<std::size_t>(order_[k]);
+    Cycles ready = 0;
+    for (std::size_t e = pred_begin_[k]; e < pred_begin_[k + 1]; ++e) {
+      const auto s = static_cast<std::size_t>(preds_[e]);
+      ready = std::max(ready, out.start[s] + latency_[s]);
+    }
+    Cycles t = ready;
+    const int cls = class_of_[i];
+    if (cls >= 0 && latency_[i] > 0) {
+      SlotFinder& finder = finders[static_cast<std::size_t>(cls)];
+      t = finder.first_fit(ready, latency_[i]);
+      if (t == SlotFinder::kNoSlot || t > horizon) {
+        out.feasible = false;
+        return out;
+      }
+      finder.reserve(t, latency_[i]);
+    }
+    out.start[i] = t;
+    out.length = std::max(out.length, t + latency_[i]);
+  }
   out.initiation_interval = ii > 0 ? ii : out.length;
-  if (ii > 0 && out.length == 0) out.initiation_interval = ii;
   return out;
 }
 
-}  // namespace
+OpSchedule SchedulePlan::list_schedule(const ResourceLimits& limits) const {
+  return schedule(limits, 0);
+}
 
-int ResourceLimits::limit_for(const dfg::Node& node) const {
-  if (dfg::needs_functional_unit(node.kind)) {
-    auto it = fu.find(node.kind);
-    return it == fu.end() ? -1 : it->second;
+OpSchedule SchedulePlan::pipeline_schedule(const ResourceLimits& limits,
+                                           Cycles ii) const {
+  CHOP_REQUIRE(ii >= 1, "pipeline initiation interval must be positive");
+  return schedule(limits, ii);
+}
+
+Cycles SchedulePlan::min_initiation_interval(
+    const ResourceLimits& limits) const {
+  Cycles bound = 1;
+  // Functional-unit classes are checked before memory classes.
+  for (const bool memory : {false, true}) {
+    for (const ResourceClass& c : classes_) {
+      if (c.is_memory != memory) continue;
+      int units = 0;
+      if (memory) {
+        auto it = limits.memory_ports.find(c.block);
+        if (it == limits.memory_ports.end()) continue;
+        units = it->second;
+        CHOP_REQUIRE(units >= 1, "memory port count must be positive");
+      } else {
+        auto it = limits.fu.find(c.kind);
+        if (it == limits.fu.end()) continue;
+        units = it->second;
+        CHOP_REQUIRE(units >= 1, "functional unit count must be positive");
+      }
+      bound = std::max(bound, (c.busy + units - 1) / units);
+    }
   }
-  if (node.kind == dfg::OpKind::MemRead ||
-      node.kind == dfg::OpKind::MemWrite) {
-    auto it = memory_ports.find(node.memory_block);
-    return it == memory_ports.end() ? -1 : it->second;
-  }
-  return 0;
+  return bound;
 }
 
 OpSchedule list_schedule(const dfg::Graph& g, std::span<const Cycles> latency,
                          const ResourceLimits& limits) {
-  return schedule_impl(g, latency, limits, 0);
+  return SchedulePlan(g, latency).list_schedule(limits);
 }
 
 OpSchedule pipeline_schedule(const dfg::Graph& g,
                              std::span<const Cycles> latency,
                              const ResourceLimits& limits, Cycles ii) {
   CHOP_REQUIRE(ii >= 1, "pipeline initiation interval must be positive");
-  return schedule_impl(g, latency, limits, ii);
+  return SchedulePlan(g, latency).pipeline_schedule(limits, ii);
 }
 
 Cycles min_initiation_interval(const dfg::Graph& g,
                                std::span<const Cycles> latency,
                                const ResourceLimits& limits) {
-  CHOP_REQUIRE(latency.size() == g.node_count(),
-               "latency vector size must match node count");
-  std::map<dfg::OpKind, Cycles> fu_busy;
-  std::map<int, Cycles> mem_busy;
-  for (std::size_t i = 0; i < g.node_count(); ++i) {
-    const dfg::Node& n = g.node(static_cast<dfg::NodeId>(i));
-    if (dfg::needs_functional_unit(n.kind)) {
-      fu_busy[n.kind] += latency[i];
-    } else if (n.kind == dfg::OpKind::MemRead ||
-               n.kind == dfg::OpKind::MemWrite) {
-      mem_busy[n.memory_block] += latency[i];
-    }
-  }
-  Cycles bound = 1;
-  for (const auto& [kind, busy] : fu_busy) {
-    auto it = limits.fu.find(kind);
-    if (it == limits.fu.end()) continue;
-    CHOP_REQUIRE(it->second >= 1, "functional unit count must be positive");
-    bound = std::max(bound, (busy + it->second - 1) / it->second);
-  }
-  for (const auto& [block, busy] : mem_busy) {
-    auto it = limits.memory_ports.find(block);
-    if (it == limits.memory_ports.end()) continue;
-    CHOP_REQUIRE(it->second >= 1, "memory port count must be positive");
-    bound = std::max(bound, (busy + it->second - 1) / it->second);
-  }
-  return bound;
+  return SchedulePlan(g, latency).min_initiation_interval(limits);
 }
 
 }  // namespace chop::sched

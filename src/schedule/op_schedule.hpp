@@ -6,6 +6,15 @@
 // given initiation interval is achievable (the Sehwa-style question, paper
 // ref [8]). Both are answered by priority list scheduling with ALAP-based
 // urgency; the pipelined variant adds modulo-II resource reservation.
+//
+// Cost. Everything that depends only on the graph and the latency vector —
+// levels, the priority order, resource classes — lives in a SchedulePlan,
+// built once per module set in O(n log n + e). One schedule from a plan is
+// then O(n + e) plus its slot searches: each resource class keeps a
+// path-compressed "next cycle (or phase) below capacity" array, so a
+// first-fit search jumps over full cycles instead of walking them, and a
+// pipelined search never looks at more than II candidate starts, because
+// fitting depends only on the start's phase modulo II.
 #pragma once
 
 #include <map>
@@ -34,8 +43,9 @@ struct ResourceLimits {
 /// counts control steps (datapath cycles); `initiation_interval` equals
 /// `length` for nonpipelined schedules and the requested II for pipelined
 /// ones. `feasible == false` means no schedule satisfied the constraints
-/// (only possible for pipelined attempts — a nonpipelined list schedule
-/// always completes).
+/// within the scheduling horizon (a pipelined II too small, or a class
+/// with zero units); `start` then holds only the nodes placed before the
+/// failure.
 struct OpSchedule {
   std::vector<Cycles> start;
   Cycles length = 0;
@@ -43,22 +53,64 @@ struct OpSchedule {
   bool feasible = false;
 };
 
-/// Nonpipelined resource-constrained list scheduling with ALAP urgency.
-/// `latency` is per node, in datapath cycles (zero-latency nodes occupy no
-/// resources and no time).
+/// The allocation-independent half of scheduling one graph under one
+/// latency vector (per node, in datapath cycles, non-negative; zero-latency
+/// nodes occupy no resources and no time). Holds the priority order the
+/// list scheduler places nodes in, each node's resource class, and
+/// per-class busy cycles.
+/// Keeps a reference to `g`, which must outlive the plan; the latency
+/// vector is copied.
+class SchedulePlan {
+ public:
+  SchedulePlan(const dfg::Graph& g, std::span<const Cycles> latency);
+
+  /// Nonpipelined resource-constrained list scheduling with ALAP urgency.
+  OpSchedule list_schedule(const ResourceLimits& limits) const;
+
+  /// Pipelined (modulo) list scheduling at initiation interval `ii`: every
+  /// resource is reserved in the occupied cycles *modulo ii* so overlapped
+  /// iterations never oversubscribe a unit. Returns feasible == false when
+  /// no placement exists within the scheduling horizon.
+  OpSchedule pipeline_schedule(const ResourceLimits& limits, Cycles ii) const;
+
+  /// Sehwa-style lower bound on the initiation interval:
+  /// max over resource classes of ceil(total busy cycles / unit count).
+  Cycles min_initiation_interval(const ResourceLimits& limits) const;
+
+ private:
+  /// One resource class: a functional-unit kind or a memory block.
+  struct ResourceClass {
+    bool is_memory = false;
+    dfg::OpKind kind = dfg::OpKind::Add;
+    int block = -1;
+    dfg::NodeId representative = dfg::kNoNode;  ///< For limit_for().
+    Cycles busy = 0;  ///< Sum of its nodes' latencies.
+  };
+
+  /// `ii == 0` means nonpipelined (no modulo reservation).
+  OpSchedule schedule(const ResourceLimits& limits, Cycles ii) const;
+
+  const dfg::Graph* graph_;
+  std::vector<Cycles> latency_;
+  std::vector<ResourceClass> classes_;
+  std::vector<int> class_of_;  ///< Per node; -1 when it uses no resource.
+  /// Nodes in priority order (ALAP, then ASAP, then id), which is also a
+  /// topological order, so a schedule places them in one pass. The
+  /// predecessors of order_[k] are preds_[pred_begin_[k] .. pred_begin_[k+1]).
+  std::vector<dfg::NodeId> order_;
+  std::vector<std::size_t> pred_begin_;
+  std::vector<dfg::NodeId> preds_;
+  /// Critical-path length + total latency + 4; a pipelined schedule adds
+  /// its II. Finite, so an infeasible II terminates.
+  Cycles horizon_base_ = 0;
+};
+
+/// One-shot forms of the SchedulePlan members; each builds a plan.
 OpSchedule list_schedule(const dfg::Graph& g, std::span<const Cycles> latency,
                          const ResourceLimits& limits);
-
-/// Pipelined (modulo) list scheduling at initiation interval `ii`: every
-/// resource is reserved in the occupied cycles *modulo ii* so overlapped
-/// iterations never oversubscribe a unit. Returns feasible == false when
-/// no placement exists within the scheduling horizon.
 OpSchedule pipeline_schedule(const dfg::Graph& g,
                              std::span<const Cycles> latency,
                              const ResourceLimits& limits, Cycles ii);
-
-/// Sehwa-style lower bound on the initiation interval:
-/// max over resource classes of ceil(total busy cycles / unit count).
 Cycles min_initiation_interval(const dfg::Graph& g,
                                std::span<const Cycles> latency,
                                const ResourceLimits& limits);

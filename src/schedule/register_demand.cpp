@@ -1,6 +1,7 @@
 #include "schedule/register_demand.hpp"
 
 #include <algorithm>
+#include <vector>
 
 namespace chop::sched {
 
@@ -12,14 +13,18 @@ Bits register_demand(const dfg::Graph& g, std::span<const Cycles> latency,
                "schedule does not belong to this graph");
   const Cycles ii = std::max<Cycles>(schedule.initiation_interval, 1);
 
-  // Alive interval [birth, death) per value-producing node, in absolute
-  // cycles of one iteration.
-  struct Life {
-    Cycles birth = 0;
-    Cycles death = 0;
-    Bits width = 0;
+  // Bits alive across each boundary b of one iteration (alive during cycle
+  // b going into b+1), as a difference array over absolute cycles: a value
+  // alive over [birth, death) adds its width at birth and removes it at
+  // death. Deaths fall at most one cycle past the schedule's length; `add`
+  // still grows the array for a schedule whose starts run past it.
+  std::vector<Bits> delta(
+      static_cast<std::size_t>(std::max<Cycles>(schedule.length, 0)) + 2, 0);
+  const auto add = [&delta](Cycles cycle, Bits bits) {
+    const auto c = static_cast<std::size_t>(cycle);
+    if (c >= delta.size()) delta.resize(c + 1, 0);
+    delta[c] += bits;
   };
-  std::vector<Life> lives;
   for (std::size_t i = 0; i < g.node_count(); ++i) {
     const dfg::NodeId id = static_cast<dfg::NodeId>(i);
     const dfg::Node& n = g.node(id);
@@ -27,10 +32,8 @@ Bits register_demand(const dfg::Graph& g, std::span<const Cycles> latency,
     // Primary-input values are held in the data transfer module buffers
     // (sized separately at system integration), not in datapath registers.
     if (n.kind == dfg::OpKind::Input) continue;
-    Life life;
-    life.width = n.width;
-    life.birth = schedule.start[i] + latency[i];
-    life.death = life.birth;
+    const Cycles birth = schedule.start[i] + latency[i];
+    Cycles death = birth;
     for (dfg::EdgeId e : g.fanout(id)) {
       const dfg::NodeId dst = g.edge(e).dst;
       const auto d = static_cast<std::size_t>(dst);
@@ -38,27 +41,28 @@ Bits register_demand(const dfg::Graph& g, std::span<const Cycles> latency,
         // Output values hand off to the data transfer module's buffer one
         // cycle after production (the B = D(ceil(W/l)+X/l) buffer model of
         // §2.5 carries them from there).
-        life.death = std::max(life.death, life.birth + 1);
+        death = std::max(death, birth + 1);
       } else {
         // Consumer reads the value throughout its execution.
-        life.death = std::max(life.death, schedule.start[d] + latency[d]);
+        death = std::max(death, schedule.start[d] + latency[d]);
       }
     }
-    if (life.death > life.birth) lives.push_back(life);
-  }
-
-  // Bits alive across each boundary, folded modulo the II so overlapped
-  // iterations of a pipelined design share one accounting.
-  std::vector<Bits> phase(static_cast<std::size_t>(ii), 0);
-  for (const Life& life : lives) {
-    // Boundaries crossed: b in [birth, death), meaning alive during cycle b
-    // going into b+1; fold b mod ii, counting each folded phase once per
-    // crossing (concurrent iterations stack).
-    for (Cycles b = life.birth; b < life.death; ++b) {
-      phase[static_cast<std::size_t>(b % ii)] += life.width;
+    if (death > birth) {
+      add(birth, n.width);
+      add(death, -n.width);
     }
   }
-  return phase.empty() ? 0 : *std::max_element(phase.begin(), phase.end());
+
+  // Prefix sums give the bits alive across each boundary; fold boundary b
+  // onto phase b mod ii so overlapped iterations of a pipelined design
+  // share one accounting (concurrent iterations stack).
+  std::vector<Bits> phase(static_cast<std::size_t>(ii), 0);
+  Bits alive = 0;
+  for (std::size_t b = 0; b < delta.size(); ++b) {
+    alive += delta[b];
+    phase[b % static_cast<std::size_t>(ii)] += alive;
+  }
+  return *std::max_element(phase.begin(), phase.end());
 }
 
 }  // namespace chop::sched

@@ -5,6 +5,11 @@
 // pipelined schedules, lifetimes from overlapped iterations fold onto the
 // same hardware, so boundaries are folded modulo the initiation interval
 // and concurrent iterations accumulate.
+//
+// Cost: O(n + e + length). Lifetimes go into a difference array over
+// absolute cycles, one prefix sum gives the bits alive across every
+// boundary, and a second pass folds those sums onto the phases; the sums
+// are exact integers, so the fold order cannot change the maximum.
 #pragma once
 
 #include <span>

@@ -6,8 +6,11 @@
 
 #include <map>
 
+#include "bad/predictor.hpp"
 #include "dfg/benchmarks.hpp"
 #include "dfg/generator.hpp"
+#include "library/module_set.hpp"
+#include "schedule_reference.hpp"
 
 namespace chop::sched {
 namespace {
@@ -250,6 +253,107 @@ INSTANTIATE_TEST_SUITE_P(
                       SchedCase{48, 8, 3, 3, 15}, SchedCase{64, 8, 4, 4, 16},
                       SchedCase{20, 10, 1, 2, 17},
                       SchedCase{40, 5, 8, 8, 18}));
+
+// ---- reference oracle: the plan-based scheduler against the old loops ----
+
+::testing::AssertionResult same_schedule(const OpSchedule& want,
+                                         const OpSchedule& got) {
+  if (got.feasible != want.feasible || got.length != want.length ||
+      got.initiation_interval != want.initiation_interval ||
+      got.start != want.start) {
+    return ::testing::AssertionFailure()
+           << "feasible " << got.feasible << " vs " << want.feasible
+           << ", length " << got.length << " vs " << want.length << ", II "
+           << got.initiation_interval << " vs " << want.initiation_interval;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(ScheduleOracle, MatchesReferenceOnRandomDags) {
+  int schedules = 0;
+  int infeasible = 0;
+  int longer_than_ii = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const reference::RandomCase c = reference::random_case(seed);
+    const dfg::Graph& g = c.bg.graph;
+    const SchedulePlan plan(g, c.latency);
+    const Cycles longest =
+        *std::max_element(c.latency.begin(), c.latency.end());
+    auto allocs = reference::sweep_allocations(
+        g, lib::functional_kinds(g), bad::PredictorOptions{}.unit_sweep);
+    allocs.emplace_back();  // every class unlimited
+    for (const auto& alloc : allocs) {
+      ResourceLimits limits;
+      limits.fu = alloc;
+      limits.memory_ports = c.memory_ports;
+      const OpSchedule want = reference::schedule(g, c.latency, limits, 0);
+      ASSERT_TRUE(same_schedule(want, plan.list_schedule(limits)))
+          << "seed " << seed << " nonpipelined";
+      ASSERT_TRUE(same_schedule(want, list_schedule(g, c.latency, limits)))
+          << "seed " << seed << " one-shot nonpipelined";
+      ++schedules;
+      const Cycles min_ii =
+          reference::min_initiation_interval(g, c.latency, limits);
+      ASSERT_EQ(plan.min_initiation_interval(limits), min_ii) << "seed " << seed;
+      const Cycles stages = std::max<Cycles>(1, want.length);
+      for (Cycles ii = min_ii; ii <= stages - 1; ++ii) {
+        const OpSchedule pipe = reference::schedule(g, c.latency, limits, ii);
+        ASSERT_TRUE(same_schedule(pipe, plan.pipeline_schedule(limits, ii)))
+            << "seed " << seed << " II " << ii;
+        ++schedules;
+        if (!pipe.feasible) ++infeasible;
+        if (longest > ii) ++longer_than_ii;
+      }
+    }
+  }
+  // The sweep reaches the cases the slot search treats specially.
+  EXPECT_GT(schedules, 10000);
+  EXPECT_GT(infeasible, 100);
+  EXPECT_GT(longer_than_ii, 100);
+}
+
+TEST(ScheduleOracle, ZeroUnitClassFailsLikeReference) {
+  // A class with zero units can place no op that takes time: both
+  // schedulers give up at the same node, with the same partial schedule.
+  int infeasible = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    const reference::RandomCase c = reference::random_case(seed);
+    const dfg::Graph& g = c.bg.graph;
+    const SchedulePlan plan(g, c.latency);
+    for (const bool memory : {false, true}) {
+      ResourceLimits limits;
+      limits.fu[OpKind::Add] = 2;
+      if (memory) {
+        limits.memory_ports[0] = 0;
+      } else {
+        limits.fu[OpKind::Mul] = 0;
+      }
+      for (Cycles ii = 0; ii <= 3; ++ii) {
+        const OpSchedule want = reference::schedule(g, c.latency, limits, ii);
+        const OpSchedule got = ii == 0 ? plan.list_schedule(limits)
+                                       : plan.pipeline_schedule(limits, ii);
+        ASSERT_TRUE(same_schedule(want, got)) << "seed " << seed << " II " << ii;
+        if (!want.feasible) ++infeasible;
+      }
+    }
+  }
+  EXPECT_GT(infeasible, 50);
+}
+
+TEST(SchedulePlan, RejectsMalformedInputs) {
+  const dfg::BenchmarkGraph fir = dfg::fir16();
+  std::vector<Cycles> lat(3, 1);
+  EXPECT_THROW(SchedulePlan(fir.graph, lat), Error);
+  auto unit = dfg::unit_latencies(fir.graph);
+  auto negative = unit;
+  negative.back() = -1;
+  EXPECT_THROW(SchedulePlan(fir.graph, negative), Error);
+  EXPECT_THROW(SchedulePlan(fir.graph, unit).pipeline_schedule({}, 0), Error);
+  ResourceLimits zero_units;
+  zero_units.fu[OpKind::Mul] = 0;
+  EXPECT_THROW(SchedulePlan(fir.graph, unit).min_initiation_interval(zero_units),
+               Error);
+}
 
 }  // namespace
 }  // namespace chop::sched

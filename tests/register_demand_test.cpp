@@ -6,6 +6,7 @@
 
 #include "dfg/analysis.hpp"
 #include "dfg/benchmarks.hpp"
+#include "schedule_reference.hpp"
 #include "util/numbered.hpp"
 
 namespace chop::sched {
@@ -123,6 +124,41 @@ TEST(RegisterDemand, ArFilterSerialVsParallel) {
     EXPECT_GE(demand, 16);
     EXPECT_LE(demand, 16 * 28);
   }
+}
+
+TEST(RegisterDemand, MatchesReferenceOnRandomSchedules) {
+  // The difference-array estimate against the per-cycle reference loop, on
+  // nonpipelined schedules and every feasible pipelined II up to the
+  // stage count.
+  int compared = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const reference::RandomCase c = reference::random_case(seed);
+    const dfg::Graph& g = c.bg.graph;
+    const SchedulePlan plan(g, c.latency);
+    for (int units : {1, 2, -1}) {
+      ResourceLimits limits;
+      if (units > 0) {
+        limits.fu[OpKind::Add] = units;
+        limits.fu[OpKind::Mul] = units;
+      }
+      limits.memory_ports = c.memory_ports;
+      const OpSchedule nonpipe = plan.list_schedule(limits);
+      ASSERT_EQ(register_demand(g, c.latency, nonpipe),
+                reference::register_demand(g, c.latency, nonpipe))
+          << "seed " << seed << " units " << units;
+      ++compared;
+      for (Cycles ii = plan.min_initiation_interval(limits);
+           ii < nonpipe.length; ++ii) {
+        const OpSchedule pipe = plan.pipeline_schedule(limits, ii);
+        if (!pipe.feasible) continue;
+        ASSERT_EQ(register_demand(g, c.latency, pipe),
+                  reference::register_demand(g, c.latency, pipe))
+            << "seed " << seed << " units " << units << " II " << ii;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 2000);
 }
 
 }  // namespace
