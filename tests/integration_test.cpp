@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "chip/mosis_packages.hpp"
 #include "dfg/benchmarks.hpp"
+#include "library/component_library.hpp"
 #include "util/numbered.hpp"
 
 namespace chop::core {
@@ -166,6 +168,34 @@ TEST(Integration, BufferFormulaMatchesPaper) {
     EXPECT_GT(plan.controller.product_terms, 0);
     EXPECT_GT(plan.module_area.likely(), 0.0);
   }
+}
+
+TEST(Integration, TransferPowerChargesSupportLogic) {
+  // A transfer module draws pad power at duty X/l plus support-logic power
+  // proportional to its own area.
+  Fixture f;
+  Partitioning pt(f.ar.graph, chips(2));
+  const auto cuts = dfg::ar_two_way_cut(f.ar);
+  pt.add_partition("P1", cuts[0], 0);
+  pt.add_partition("P2", cuts[1], 1);
+  const DesignPrediction a = pred(DesignStyle::Nonpipelined, 30, 30, 1000.0);
+  const IntegrationResult r = integrate(f.context(pt), {&a, &a}, 30);
+  ASSERT_TRUE(r.feasible) << r.reason;
+  const lib::TechnologyParams tech;
+  const auto crossing =
+      std::find_if(r.transfers.begin(), r.transfers.end(),
+                   [](const TransferPlan& p) { return p.task.crosses_pins(); });
+  ASSERT_NE(crossing, r.transfers.end());
+  const TransferPlan& plan = *crossing;
+  const double duty =
+      std::min(1.0, static_cast<double>(plan.transfer_cycles) / 30.0);
+  const double pads = static_cast<double>(plan.pins) * tech.pad_power_mw * duty;
+  const double support =
+      plan.module_area.likely() * tech.support_power_per_area_mw;
+  EXPECT_GT(support, 0.0);
+  EXPECT_EQ(plan.module_power_mw.likely(), pads + support) << plan.task.name;
+  EXPECT_EQ(plan.module_power_mw.lo(), 0.85 * (pads + support));
+  EXPECT_EQ(plan.module_power_mw.hi(), 1.2 * (pads + support));
 }
 
 TEST(Integration, FewerPinsLongerTransfers) {
