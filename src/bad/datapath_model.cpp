@@ -7,39 +7,55 @@
 
 namespace chop::bad {
 
+OpProfile op_profile(const dfg::Graph& g) {
+  OpProfile out;
+  std::map<dfg::OpKind, OpProfile::Kind> by_kind;
+  for (std::size_t i = 0; i < g.node_count(); ++i) {
+    const dfg::Node& n = g.node(static_cast<dfg::NodeId>(i));
+    if (dfg::needs_functional_unit(n.kind)) {
+      OpProfile::Kind& k = by_kind[n.kind];
+      k.kind = n.kind;
+      ++k.count;
+      k.width = std::max(k.width, n.width);
+    } else if (n.kind == dfg::OpKind::Select) {
+      out.select_mux_bits += static_cast<double>(n.width);
+    }
+  }
+  for (const auto& [kind, k] : by_kind) out.kinds.push_back(k);
+  return out;
+}
+
 DatapathEstimate estimate_datapath(const dfg::Graph& g,
                                    std::span<const Cycles> latency,
                                    const sched::OpSchedule& schedule,
                                    const std::map<dfg::OpKind, int>& fu_alloc,
                                    const lib::ComponentLibrary& library) {
+  return estimate_datapath(g, latency, schedule, fu_alloc, library,
+                           op_profile(g));
+}
+
+DatapathEstimate estimate_datapath(const dfg::Graph& g,
+                                   std::span<const Cycles> latency,
+                                   const sched::OpSchedule& schedule,
+                                   const std::map<dfg::OpKind, int>& fu_alloc,
+                                   const lib::ComponentLibrary& library,
+                                   const OpProfile& ops) {
   DatapathEstimate out;
   out.register_bits = sched::register_demand(g, latency, schedule);
 
-  // Mux sources: FU operand sharing, register write sharing, selects.
-  double mux_likely = 0.0;
+  // Mux sources: selects, FU operand sharing, register write sharing.
+  double mux_likely = ops.select_mux_bits;
   int worst_sharing = 1;
-  std::map<dfg::OpKind, std::pair<std::int64_t, Bits>> ops_by_kind;
-  for (std::size_t i = 0; i < g.node_count(); ++i) {
-    const dfg::Node& n = g.node(static_cast<dfg::NodeId>(i));
-    if (dfg::needs_functional_unit(n.kind)) {
-      auto& [count, width] = ops_by_kind[n.kind];
-      ++count;
-      width = std::max(width, n.width);
-    } else if (n.kind == dfg::OpKind::Select) {
-      mux_likely += static_cast<double>(n.width);
-    }
-  }
-  for (const auto& [kind, stat] : ops_by_kind) {
-    const auto& [count, width] = stat;
-    auto it = fu_alloc.find(kind);
-    const int units = it == fu_alloc.end() ? static_cast<int>(count)
+  for (const OpProfile::Kind& k : ops.kinds) {
+    auto it = fu_alloc.find(k.kind);
+    const int units = it == fu_alloc.end() ? static_cast<int>(k.count)
                                            : std::max(1, it->second);
-    if (count > units) {
-      const std::int64_t shared = count - units;
-      mux_likely += static_cast<double>(shared * 2 * width);
+    if (k.count > units) {
+      const std::int64_t shared = k.count - units;
+      mux_likely += static_cast<double>(shared * 2 * k.width);
       worst_sharing = std::max(
           worst_sharing,
-          static_cast<int>((count + units - 1) / units));
+          static_cast<int>((k.count + units - 1) / units));
     }
   }
   // Register write steering: most likely one 2:1 per stored bit.

@@ -40,13 +40,16 @@ struct ModuleSetFacts {
   Bits max_width = 1;
   std::map<dfg::OpKind, Cycles> busy_cycles;
   std::map<int, int> memory_accesses;
+  const OpProfile* ops = nullptr;  ///< Of the graph, shared by every set.
 };
 
 ModuleSetFacts module_set_facts(const dfg::Graph& g, const lib::ModuleSet& set,
-                                std::span<const Cycles> latency) {
+                                std::span<const Cycles> latency,
+                                const OpProfile& ops) {
   ModuleSetFacts facts;
   facts.set = &set;
   facts.latency = latency;
+  facts.ops = &ops;
   facts.label = set.label();
   for (const auto& [kind, module] : set.choices()) {
     facts.module_names[kind] = module->name;
@@ -80,8 +83,8 @@ DesignPrediction make_prediction(const PredictionRequest& req,
   p.ii_main = p.ii_dp * req.clocks.datapath_multiplier;
   p.latency_main = p.stages * req.clocks.datapath_multiplier;
 
-  DatapathEstimate dp =
-      estimate_datapath(g, facts.latency, schedule, alloc, library);
+  DatapathEstimate dp = estimate_datapath(g, facts.latency, schedule, alloc,
+                                          library, *facts.ops);
   // Scan-design overheads (§5): heavier registers, a scan mux on the
   // register setup path, a fatter controller.
   const TestabilityOptions& test = req.testability;
@@ -180,6 +183,7 @@ std::vector<DesignPrediction> Predictor::predict(
       obs::MetricsRegistry::global().counter("bad.schedules");
 
   std::vector<DesignPrediction> out;
+  const OpProfile ops = op_profile(g);
 
   for (const lib::ModuleSet& set :
        lib::enumerate_module_sets(*req.library, kinds)) {
@@ -189,7 +193,7 @@ std::vector<DesignPrediction> Predictor::predict(
     if (!latency_opt) continue;  // single-cycle: module set does not fit
     module_sets.add();
     const std::vector<Cycles>& latency = *latency_opt;
-    const ModuleSetFacts facts = module_set_facts(g, set, latency);
+    const ModuleSetFacts facts = module_set_facts(g, set, latency, ops);
     const sched::SchedulePlan plan(g, latency);
 
     // Allocation sweep: cartesian product of per-kind unit counts.
