@@ -39,7 +39,8 @@ std::size_t CandidateEvaluator::KeyHash::operator()(const Key& k) const {
 }
 
 CandidateEvaluator::CandidateEvaluator(std::size_t max_entries)
-    : shard_cap_((max_entries + kShards - 1) / kShards),
+    : max_entries_(max_entries),
+      shard_cap_((max_entries + kShards - 1) / kShards),
       hits_counter_(obs::MetricsRegistry::global().counter("eval.cache_hits")),
       misses_counter_(
           obs::MetricsRegistry::global().counter("eval.cache_misses")),

@@ -5,8 +5,12 @@
 // before this layer every one of those recomputed transfer plans, urgency
 // schedules and PLA sizings from scratch. The evaluator caches
 // IntegrationResults keyed on (context fingerprint, system II, content
-// digest of each selected prediction) so any repeat — within a search,
-// across searches, even across sessions — is a lookup.
+// digest of each selected prediction), so a repeat the cache still holds —
+// within a search, across searches, even across sessions — is a lookup.
+// The enumeration consults it only when its whole walk fits within
+// capacity(): under FIFO eviction a longer walk would evict its own
+// entries before any replay reached them, so it integrates through an
+// IntegrationMemo instead and leaves the evaluator untouched.
 //
 // Thread safety: the cache is sharded (kShards independently locked maps)
 // so the parallel enumeration's workers can share one evaluator without
@@ -77,6 +81,9 @@ class CandidateEvaluator {
   /// Entries currently resident, across all shards.
   std::size_t size() const;
 
+  /// The `max_entries` it was built with.
+  std::size_t capacity() const { return max_entries_; }
+
  private:
   struct Key {
     std::uint64_t context_fp = 0;
@@ -98,6 +105,7 @@ class CandidateEvaluator {
   };
   static constexpr std::size_t kShards = 16;
 
+  std::size_t max_entries_;
   std::size_t shard_cap_;  ///< ⌈max_entries / kShards⌉ (0 = no caching).
   std::array<Shard, kShards> shards_;
   /// Misses of a zero-capacity evaluator, which has no shard to count in.

@@ -20,6 +20,8 @@
 //    times by the same methods used in BAD.
 #pragma once
 
+#include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -72,11 +74,72 @@ struct IntegrationResult {
 /// transfer tasks (from create_transfer_tasks), the clock family, the
 /// constraint budget, the feasibility criteria and any extra reserved
 /// pins. Pure: same context + selection + ii always yields the same
-/// result, which is what lets CandidateEvaluator memoize it.
+/// result.
+///
+/// It runs in three stages, shared with IntegrationMemo:
+///  1. pre-checks on the selection's rates (the data-rate-mismatch rule,
+///     no partition slower than the II);
+///  2. the structure: transfer plans, the urgency schedule, waits,
+///     buffers, controllers and transfer-module area and power. It
+///     depends only on the II and on each partition's latency and local
+///     memory-block demands;
+///  3. the tail: per-chip area and power sums, the clock adjustment and
+///     the verdict.
 IntegrationResult integrate(
     const EvalContext& ctx,
     const std::vector<const bad::DesignPrediction*>& selection,
     Cycles ii_main);
+
+/// What a search leaf needs from one integration.
+struct LeafVerdict {
+  bool feasible = false;
+  Cycles delay_main = 0;  ///< IntegrationResult::system_delay_main.
+  Ns clock_ns = 0.0;      ///< IntegrationResult::clock_ns().
+  /// IntegrationResult::reason, "" when feasible. Points to static storage
+  /// or into the reason table the memo shares with its forks.
+  const char* reason = "";
+};
+
+/// integrate() with its structure stage memoized, keyed exactly on the II
+/// plus each partition's latency and local memory-block demands. A
+/// keep-all sweep revisits few such keys: the 6.3 million leaves of the
+/// Figure-7 3-partition space reach the structure stage with only 127
+/// distinct keys.
+///
+/// Thread-confined: one memo serves one thread, and fork() gives another
+/// thread its own memo over the same shared, immutable context facts and
+/// reason table. The context must outlive the memo and its forks. A memo
+/// holds at most kMaxEntries structures; past that, a miss computes
+/// without inserting, so memory stays bounded.
+class IntegrationMemo {
+ public:
+  static constexpr std::size_t kMaxEntries = 1024;
+
+  explicit IntegrationMemo(const EvalContext& ctx);
+  ~IntegrationMemo();
+
+  /// An empty memo over the same context, sharing this one's context
+  /// facts and reason table (so reasons stay valid across forks).
+  IntegrationMemo fork() const;
+
+  /// The verdict integrate(ctx, selection, ii_main) reaches, counted as
+  /// one `integration.attempts`. When the leaf is feasible and `result`
+  /// is non-null, *result becomes integrate()'s full result.
+  LeafVerdict integrate(
+      const std::vector<const bad::DesignPrediction*>& selection,
+      Cycles ii_main, IntegrationResult* result = nullptr);
+
+  /// Structures held.
+  std::size_t size() const;
+
+ private:
+  struct Frame;
+  struct State;
+  explicit IntegrationMemo(std::shared_ptr<const Frame> frame);
+
+  std::shared_ptr<const Frame> frame_;
+  std::unique_ptr<State> state_;
+};
 
 /// The performance bound a combination implies: the slowest selected
 /// implementation ("the performance of each combination is upper bounded

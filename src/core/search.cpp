@@ -97,20 +97,6 @@ struct CancelState {
   }
 };
 
-/// The per-trial facts the reporting/merge path needs, detached from the
-/// full IntegrationResult so parallel chunks can buffer trials compactly.
-struct TrialView {
-  bool feasible = false;
-  Cycles ii_main = 0;
-  Cycles delay_main = 0;
-  const char* reason = "";
-};
-
-TrialView view_of(const IntegrationResult& result) {
-  return TrialView{result.feasible, result.ii_main, result.system_delay_main,
-                   result.reason.c_str()};
-}
-
 /// Feeds the per-trial metrics counters and the optional SearchObserver
 /// for both heuristics. Counter references are cached so the hot loop
 /// pays one relaxed atomic add per trial. Always invoked on the search's
@@ -123,15 +109,16 @@ class TrialReporter {
         trials_(obs::MetricsRegistry::global().counter("search.trials")),
         feasible_(obs::MetricsRegistry::global().counter("search.feasible")) {}
 
-  void trial(std::size_t trials_so_far, const TrialView& result) {
+  void trial(std::size_t trials_so_far, const DesignPoint& point,
+             const char* reason) {
     trials_.add();
-    if (result.feasible) {
+    if (point.feasible) {
       feasible_.add();
       ++feasible_count_;
-      if (best_ii_ < 0 || result.ii_main < best_ii_ ||
-          (result.ii_main == best_ii_ && result.delay_main < best_delay_)) {
-        best_ii_ = result.ii_main;
-        best_delay_ = result.delay_main;
+      if (best_ii_ < 0 || point.ii_main < best_ii_ ||
+          (point.ii_main == best_ii_ && point.delay_main < best_delay_)) {
+        best_ii_ = point.ii_main;
+        best_delay_ = point.delay_main;
       }
     }
     if (observer_ == nullptr) return;
@@ -140,8 +127,8 @@ class TrialReporter {
     p.feasible = feasible_count_;
     p.best_ii = best_ii_;
     p.best_delay = best_delay_;
-    p.trial_feasible = result.feasible;
-    p.reason = result.reason;
+    p.trial_feasible = point.feasible;
+    p.reason = reason;
     observer_->on_trial(p);
   }
 
@@ -156,18 +143,23 @@ class TrialReporter {
 
 /// Builds the recorder point for one integration attempt.
 DesignPoint make_point(const std::vector<const bad::DesignPrediction*>& selection,
-                       const IntegrationResult& result) {
+                       Cycles ii_main, const LeafVerdict& verdict) {
   DesignPoint point;
-  point.ii_main = result.ii_main;
-  point.delay_main = result.system_delay_main;
+  point.ii_main = ii_main;
+  point.delay_main = verdict.delay_main;
   double area = 0.0;
   for (const bad::DesignPrediction* p : selection) {
     area += p->total_area.likely();
   }
   point.area_likely = area;
-  point.clock_ns = result.clock_ns();
-  point.feasible = result.feasible;
+  point.clock_ns = verdict.clock_ns;
+  point.feasible = verdict.feasible;
   return point;
+}
+
+LeafVerdict verdict_of(const IntegrationResult& result) {
+  return LeafVerdict{result.feasible, result.system_delay_main,
+                     result.clock_ns(), result.reason.c_str()};
 }
 
 /// Keeps only Pareto-optimal (ii, delay) designs, II ascending. The sort
@@ -228,16 +220,23 @@ const std::vector<std::vector<bad::DesignPrediction>>& search_lists(
 // ---------------------------------------------------------------------------
 
 /// One buffered enumeration trial, produced by a worker and consumed by
-/// the in-order merge. Holds the reason by value (a TrialView's borrowed
-/// pointer would dangle when the record moves — SSO strings relocate).
+/// the in-order merge.
 struct TrialRecord {
   DesignPoint point;
-  bool feasible = false;
-  Cycles ii_main = 0;
-  Cycles delay_main = 0;
-  std::string reason;
-  std::shared_ptr<const IntegrationResult> result;  ///< Set when feasible.
-  std::vector<std::size_t> choice;                  ///< Set when feasible.
+  /// Static, in the search's IntegrationMemo reason table (which outlives
+  /// the merge), or in `result`.
+  const char* reason = "";
+  /// Set when feasible, and whenever `reason` points into it.
+  std::shared_ptr<const IntegrationResult> result;
+  std::vector<std::size_t> choice;  ///< Set when feasible.
+};
+
+/// Where the enumeration integrates its leaves and seed probes: the
+/// caller's CandidateEvaluator when the whole walk fits in it, else a
+/// thread-confined IntegrationMemo (see search_enumeration).
+struct Integrator {
+  CandidateEvaluator* evaluator = nullptr;
+  IntegrationMemo* memo = nullptr;  ///< Used when `evaluator` is null.
 };
 
 struct OdometerSpace {
@@ -330,23 +329,26 @@ void decode_unit(const std::vector<std::vector<bad::DesignPrediction>>& lists,
 TrialRecord evaluate_leaf(
     const EvalContext& ctx,
     const std::vector<const bad::DesignPrediction*>& selection,
-    const std::vector<std::size_t>& digits, CandidateEvaluator& evaluator,
+    const std::vector<std::size_t>& digits, const Integrator& with,
     obs::PhaseProfile* profile) {
   obs::ScopedPhase phase(profile, obs::SearchPhase::kLeafEval);
   const Cycles ii = combination_ii(selection);
-  std::shared_ptr<const IntegrationResult> result =
-      evaluator.evaluate(ctx, selection, ii, profile);
-
   TrialRecord record;
-  record.point = make_point(selection, *result);
-  record.feasible = result->feasible;
-  record.ii_main = result->ii_main;
-  record.delay_main = result->system_delay_main;
-  record.reason = result->reason;
-  if (result->feasible) {
-    record.result = std::move(result);
-    record.choice = digits;
+  LeafVerdict verdict;
+  if (with.evaluator != nullptr) {
+    record.result = with.evaluator->evaluate(ctx, selection, ii, profile);
+    verdict = verdict_of(*record.result);
+  } else {
+    IntegrationResult full;
+    verdict = with.memo->integrate(selection, ii, &full);
+    if (verdict.feasible) {
+      record.result =
+          std::make_shared<const IntegrationResult>(std::move(full));
+    }
   }
+  record.point = make_point(selection, ii, verdict);
+  record.reason = verdict.reason;
+  if (verdict.feasible) record.choice = digits;
   return record;
 }
 
@@ -372,7 +374,7 @@ UnitOutcome run_unit_unbounded(
     const EvalContext& ctx,
     const std::vector<std::vector<bad::DesignPrediction>>& lists,
     const UnitPlan& plan, std::size_t u, std::size_t limit,
-    const CancelState& cancel, CandidateEvaluator& evaluator,
+    const CancelState& cancel, const Integrator& with,
     obs::PhaseProfile* profile) {
   UnitOutcome out;
   const std::size_t start = sat_mul(u, plan.leaves_per_unit);
@@ -393,7 +395,7 @@ UnitOutcome run_unit_unbounded(
       return out;
     }
     out.records.push_back(
-        evaluate_leaf(ctx, selection, digits, evaluator, profile));
+        evaluate_leaf(ctx, selection, digits, with, profile));
     for (std::size_t p = 0; p < plan.inner_count; ++p) {
       if (++digits[p] < lists[p].size()) {
         selection[p] = &lists[p][digits[p]];
@@ -417,7 +419,7 @@ class BoundedWalker {
                 const UnitPlan& plan, const BoundTables& tables,
                 const ParetoFrontier& seed, std::size_t record_cap,
                 const std::atomic<bool>* stop, const CancelState& cancel,
-                CandidateEvaluator& evaluator, obs::PhaseProfile* profile)
+                const Integrator& with, obs::PhaseProfile* profile)
       : ctx_(ctx),
         lists_(lists),
         plan_(plan),
@@ -425,7 +427,7 @@ class BoundedWalker {
         record_cap_(record_cap),
         stop_(stop),
         cancel_(cancel),
-        evaluator_(evaluator),
+        with_(with),
         profile_(profile),
         frontier_(seed),
         prefix_(ctx.partitioning().chips().size()),
@@ -499,8 +501,10 @@ class BoundedWalker {
       return;
     }
     TrialRecord record =
-        evaluate_leaf(ctx_, selection_, digits_, evaluator_, profile_);
-    if (record.feasible) frontier_.insert(record.ii_main, record.delay_main);
+        evaluate_leaf(ctx_, selection_, digits_, with_, profile_);
+    if (record.point.feasible) {
+      frontier_.insert(record.point.ii_main, record.point.delay_main);
+    }
     out_.records.push_back(std::move(record));
   }
 
@@ -511,7 +515,7 @@ class BoundedWalker {
   const std::size_t record_cap_;
   const std::atomic<bool>* stop_;
   const CancelState& cancel_;
-  CandidateEvaluator& evaluator_;
+  const Integrator with_;
   obs::PhaseProfile* profile_;
   ParetoFrontier frontier_;
   PrefixState prefix_;
@@ -532,8 +536,8 @@ class BoundedWalker {
 ParetoFrontier seed_frontier(
     const EvalContext& ctx,
     const std::vector<std::vector<bad::DesignPrediction>>& lists,
-    CandidateEvaluator& evaluator, SearchResult& out,
-    obs::Counter& probe_counter, obs::PhaseProfile* profile) {
+    const Integrator& with, SearchResult& out, obs::Counter& probe_counter,
+    obs::PhaseProfile* profile) {
   obs::ScopedPhase phase(profile, obs::SearchPhase::kSeedProbes);
   ParetoFrontier seed;
   const std::size_t nparts = lists.size();
@@ -558,10 +562,14 @@ ParetoFrontier seed_frontier(
   const auto probe = [&](const std::vector<const bad::DesignPrediction*>& s) {
     ++out.probe_integrations;
     probe_counter.add();
-    const std::shared_ptr<const IntegrationResult> result =
-        evaluator.evaluate(ctx, s, combination_ii(s), profile);
-    if (result->feasible) {
-      seed.insert(result->ii_main, result->system_delay_main);
+    const Cycles ii = combination_ii(s);
+    if (with.evaluator != nullptr) {
+      const std::shared_ptr<const IntegrationResult> result =
+          with.evaluator->evaluate(ctx, s, ii, profile);
+      if (result->feasible) seed.insert(ii, result->system_delay_main);
+    } else {
+      const LeafVerdict verdict = with.memo->integrate(s, ii);
+      if (verdict.feasible) seed.insert(ii, verdict.delay_main);
     }
   };
   probe(by_ii);
@@ -575,10 +583,8 @@ void merge_trial(SearchResult& out, TrialRecord record, TrialReporter& reporter,
                  std::vector<GlobalDesign>& feasible) {
   ++out.trials;
   if (options.record_all) out.recorder.record(record.point);
-  reporter.trial(out.trials,
-                 TrialView{record.feasible, record.ii_main, record.delay_main,
-                           record.reason.c_str()});
-  if (record.feasible) {
+  reporter.trial(out.trials, record.point, record.reason);
+  if (record.point.feasible) {
     ++out.feasible_raw;
     feasible.push_back(
         GlobalDesign{std::move(record.choice), *record.result, options.prune});
@@ -619,6 +625,19 @@ SearchResult search_enumeration(const EvalContext& ctx,
   const bool bounded = options.bound_pruning;
   const UnitPlan plan = plan_units(space);
 
+  // The evaluator's memo pays only for a walk it can hold: its eviction
+  // is FIFO, so a longer walk evicts its own entries before any replay
+  // could reach them. Such a walk integrates through an IntegrationMemo
+  // instead, one per thread, and leaves the evaluator untouched.
+  std::optional<IntegrationMemo> memo;
+  Integrator with;
+  if (limit <= evaluator.capacity()) {
+    with.evaluator = &evaluator;
+  } else {
+    memo.emplace(ctx);
+    with.memo = &*memo;
+  }
+
   obs::PhaseProfile* profile = options.profile;
   std::unique_ptr<BoundTables> tables;
   ParetoFrontier seed;
@@ -628,7 +647,7 @@ SearchResult search_enumeration(const EvalContext& ctx,
       obs::ScopedPhase phase(profile, obs::SearchPhase::kBoundTables);
       tables = std::make_unique<BoundTables>(ctx, lists);
     }
-    seed = seed_frontier(ctx, lists, evaluator, out, probe_counter, profile);
+    seed = seed_frontier(ctx, lists, with, out, probe_counter, profile);
     tables_span.arg("partitions", lists.size());
     tables_span.arg("units", plan.unit_count);
     tables_span.arg("seed_points", seed.size());
@@ -649,13 +668,14 @@ SearchResult search_enumeration(const EvalContext& ctx,
 
   // Every bounded unit may collect up to max_trials records: the in-order
   // merge never consumes more than that from any single unit.
-  const auto run_unit = [&](std::size_t u) -> UnitOutcome {
+  const auto run_unit = [&](std::size_t u,
+                            const Integrator& unit_with) -> UnitOutcome {
     if (bounded) {
       return BoundedWalker(ctx, lists, plan, *tables, seed, options.max_trials,
-                           &stop, cancel, evaluator, profile)
+                           &stop, cancel, unit_with, profile)
           .run(u);
     }
-    return run_unit_unbounded(ctx, lists, plan, u, limit, cancel, evaluator,
+    return run_unit_unbounded(ctx, lists, plan, u, limit, cancel, unit_with,
                               profile);
   };
 
@@ -723,12 +743,17 @@ SearchResult search_enumeration(const EvalContext& ctx,
               none.cancelled = true;
               return none;
             }
-            return run_unit(u);
+            return run_unit(u, with);
           }
           obs::TraceContextScope ctx_scope(unit_ctx);
           obs::TraceSpan unit_span("search.parallel.unit");
           unit_span.arg("unit", u);
-          return run_unit(u);
+          if (memo) {
+            // Units run on several threads: each gets its own memo.
+            IntegrationMemo unit_memo = memo->fork();
+            return run_unit(u, Integrator{nullptr, &unit_memo});
+          }
+          return run_unit(u, with);
         },
         consume);
     if (parallel) {
@@ -856,10 +881,10 @@ SearchResult search_iterative(const EvalContext& ctx,
         obs::ScopedPhase phase(profile, obs::SearchPhase::kLeafEval);
         result = integrate_at(w);
       }
-      if (options.record_all) {
-        out.recorder.record(make_point(selection, *result));
-      }
-      reporter.trial(out.trials, view_of(*result));
+      const DesignPoint point =
+          make_point(selection, result->ii_main, verdict_of(*result));
+      if (options.record_all) out.recorder.record(point);
+      reporter.trial(out.trials, point, result->reason.c_str());
 
       if (result->feasible) {
         ++out.feasible_raw;

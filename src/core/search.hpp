@@ -13,7 +13,9 @@
 //
 // Both heuristics run on the evaluation engine (src/core/eval/): an
 // immutable EvalContext carries the problem, and a memoizing
-// CandidateEvaluator services every integration. The enumeration heuristic
+// CandidateEvaluator services the integrations, except that an
+// enumeration longer than the evaluator's capacity integrates through a
+// per-thread IntegrationMemo instead. The enumeration heuristic
 // is a depth-first branch-and-bound walk over the odometer space: an
 // incremental PrefixState plus precomputed BoundTables (src/core/eval/
 // bound_state.hpp) cut whole subtrees whose admissible lower bounds
@@ -84,6 +86,9 @@ struct SearchOptions {
   /// Shared memo cache (not owned; may outlive many searches). When null,
   /// the search uses a private cache that lives for this call only —
   /// ChopSession::search() substitutes its session-lifetime evaluator.
+  /// The enumeration consults it only when its leaf limit (the space, or
+  /// max_trials when smaller) is at most its capacity(); otherwise it
+  /// neither reads nor fills it.
   CandidateEvaluator* evaluator = nullptr;
   /// Cooperative cancellation: when non-null and set to true, the search
   /// stops early and returns whatever it has found so far with
