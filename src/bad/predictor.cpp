@@ -221,7 +221,7 @@ std::vector<DesignPrediction> Predictor::predict(
       limits.fu = alloc;
       limits.memory_ports = req.memory_ports;
 
-      const sched::OpSchedule nonpipe = plan.list_schedule(limits);
+      const sched::OpSchedule& nonpipe = plan.list_schedule(limits);
       schedules.add();
       CHOP_ASSERT(nonpipe.feasible, "nonpipelined list schedule cannot fail");
       out.push_back(make_prediction(req, facts, alloc, nonpipe,
@@ -234,7 +234,7 @@ std::vector<DesignPrediction> Predictor::predict(
       Cycles ii_cap = stages - 1;
       if (req.max_ii_dp > 0) ii_cap = std::min(ii_cap, req.max_ii_dp);
       for (Cycles ii = min_ii; ii <= ii_cap; ++ii) {
-        const sched::OpSchedule pipe = plan.pipeline_schedule(limits, ii);
+        const sched::OpSchedule& pipe = plan.pipeline_schedule(limits, ii);
         schedules.add();
         if (!pipe.feasible) continue;
         out.push_back(make_prediction(req, facts, alloc, pipe,

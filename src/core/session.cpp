@@ -38,7 +38,7 @@ ChopSession::ChopSession(const lib::ComponentLibrary& library,
   predict_cache_.resize(nparts);
 }
 
-ChopSession::RawInputs ChopSession::raw_inputs(std::size_t p) const {
+RawInputs ChopSession::raw_inputs(std::size_t p) const {
   RawInputs in;
   in.members = partitioning_.partitions()[p].members;
   in.clocking = config_.style.clocking;
@@ -60,11 +60,40 @@ ChopSession::RawInputs ChopSession::raw_inputs(std::size_t p) const {
   return in;
 }
 
-ChopSession::EligibleInputs ChopSession::eligible_inputs(std::size_t p) const {
+EligibleInputs ChopSession::eligible_inputs(std::size_t p) const {
   const Partition& part = partitioning_.partitions()[p];
   return {partitioning_.chips()[static_cast<std::size_t>(part.chip)]
               .package.usable_area(),
           config_.constraints, config_.criteria};
+}
+
+bool ChopSession::raw_lists_held() const {
+  return std::all_of(
+      predict_cache_.begin(), predict_cache_.end(),
+      [](const PartitionPredictState& state) { return state.raw_held; });
+}
+
+std::vector<bad::DesignPrediction> ChopSession::run_bad(
+    std::size_t p, const bad::Predictor& predictor, Cycles max_ii_dp) const {
+  obs::TraceSpan partition_span("session.predict.partition");
+  partition_span.arg("partition", partitioning_.partitions()[p].name);
+  const dfg::Subgraph sub = partitioning_.subgraph(static_cast<int>(p));
+
+  bad::PredictionRequest request;
+  request.graph = &sub.graph;
+  request.library = library_;
+  request.style = config_.style;
+  request.clocks = config_.clocks;
+  // Cap pipelined II enumeration from the performance budget (§3.2).
+  request.max_ii_dp = max_ii_dp;
+  request.testability = config_.testability;
+  for (std::size_t b = 0; b < partitioning_.memory().blocks.size(); ++b) {
+    request.memory_ports[static_cast<int>(b)] =
+        partitioning_.memory().blocks[b].ports;
+    request.memory_access_time.push_back(
+        partitioning_.memory().blocks[b].access_time);
+  }
+  return predictor.predict(request);
 }
 
 PredictionStats ChopSession::predict_partitions() {
@@ -84,46 +113,52 @@ PredictionStats ChopSession::predict_partitions() {
   for (std::size_t p = 0; p < partitions.size(); ++p) {
     PartitionPredictState& state = predict_cache_[p];
     RawInputs raw = raw_inputs(p);
-    const bool raw_hit = state.valid && state.raw == raw;
-    if (raw_hit) {
+    EligibleInputs eligible = eligible_inputs(p);
+    const bool raw_same = state.valid && state.raw == raw;
+    const bool eligible_same = raw_same && state.eligible == eligible;
+    const bool reuse_raw = eligible_same || (raw_same && state.raw_held);
+    const std::shared_ptr<const PredictionMemo::Value> hit =
+        reuse_raw || memo_ == nullptr ? nullptr : memo_->find(raw, eligible);
+    if (reuse_raw) {
       ++stats.reused;
       reused_counter.add();
-    } else {
-      obs::TraceSpan partition_span("session.predict.partition");
-      partition_span.arg("partition", partitions[p].name);
-      const dfg::Subgraph sub = partitioning_.subgraph(static_cast<int>(p));
-
-      bad::PredictionRequest request;
-      request.graph = &sub.graph;
-      request.library = library_;
-      request.style = config_.style;
-      request.clocks = config_.clocks;
-      // Cap pipelined II enumeration from the performance budget (§3.2).
-      request.max_ii_dp = raw.max_ii_dp;
-      request.testability = config_.testability;
-      for (std::size_t b = 0; b < partitioning_.memory().blocks.size(); ++b) {
-        request.memory_ports[static_cast<int>(b)] =
-            partitioning_.memory().blocks[b].ports;
-        request.memory_access_time.push_back(
-            partitioning_.memory().blocks[b].access_time);
+      if (!eligible_same) {
+        predictions_.eligible[p] =
+            prune_level1(predictions_.raw[p], eligible.usable_area,
+                         config_.clocks, config_.constraints, config_.criteria);
+        state.eligible = std::move(eligible);
       }
-
-      predictions_.raw[p] = predictor.predict(request);
-      recomputed_counter.add();
+    } else if (hit != nullptr) {
+      ++stats.reused;
+      reused_counter.add();
+      predictions_.raw[p] = {};
+      predictions_.eligible[p] = hit->eligible;
+      state.raw_count = hit->raw_count;
+      state.raw_held = false;
       state.raw = std::move(raw);
-    }
-    EligibleInputs eligible = eligible_inputs(p);
-    if (!raw_hit || state.eligible != eligible) {
+      state.eligible = std::move(eligible);
+    } else {
+      predictions_.raw[p] = run_bad(p, predictor, raw.max_ii_dp);
+      recomputed_counter.add();
       predictions_.eligible[p] =
           prune_level1(predictions_.raw[p], eligible.usable_area,
                        config_.clocks, config_.constraints, config_.criteria);
+      state.raw_count = predictions_.raw[p].size();
+      state.raw_held = true;
+      if (memo_ != nullptr) {
+        memo_->insert(raw, eligible,
+                      {predictions_.eligible[p], state.raw_count});
+      }
+      state.raw = std::move(raw);
       state.eligible = std::move(eligible);
     }
     state.valid = true;
   }
 
   predictions_valid_ = true;
-  stats.total = predictions_.raw_total();
+  for (const PartitionPredictState& state : predict_cache_) {
+    stats.total += state.raw_count;
+  }
   stats.feasible = predictions_.eligible_total();
   obs::MetricsRegistry::global()
       .histogram("session.predict_ms")
@@ -168,6 +203,9 @@ SearchResult ChopSession::search(const SearchOptions& options) const {
   obs::TraceSpan span("session.search");
   CHOP_REQUIRE(predictions_valid_,
                "call predict_partitions() before search()");
+  CHOP_REQUIRE(options.prune || raw_lists_held(),
+               "an unpruned search needs raw lists, and a partition served "
+               "from the prediction memo holds none");
   SearchOptions opts = options;
   if (opts.evaluator == nullptr) opts.evaluator = evaluator_.get();
   return find_feasible_implementations(make_eval_context(), predictions_,
@@ -179,6 +217,9 @@ std::string ChopSession::guideline(const GlobalDesign& design) const {
   const auto& partitions = partitioning_.partitions();
   CHOP_REQUIRE(design.choice.size() == partitions.size(),
                "design does not match the current partitioning");
+  CHOP_REQUIRE(design.prune || raw_lists_held(),
+               "an unpruned design needs raw lists, and a partition served "
+               "from the prediction memo holds none");
 
   std::ostringstream os;
   os << "Feasible predicted design: II=" << design.integration.ii_main

@@ -12,6 +12,12 @@
 // byte-identical to a cold session's predict+search of the same state (the
 // incremental_research oracle in chop_fuzz and tests/eval_delta_test
 // enforce this).
+//
+// A session may also consult a PredictionMemo (core/prediction_memo.hpp)
+// shared with other sessions over the same graph and library: a stale
+// partition whose exact inputs are in the memo takes its eligible list
+// from there instead of running BAD. Such a partition then holds no raw
+// list, so only pruned searches run on the session.
 #pragma once
 
 #include <iosfwd>
@@ -23,6 +29,7 @@
 #include "core/eval/candidate_evaluator.hpp"
 #include "core/eval/eval_delta.hpp"
 #include "core/partitioning.hpp"
+#include "core/prediction_memo.hpp"
 #include "core/search.hpp"
 
 namespace chop::core {
@@ -42,8 +49,10 @@ struct ChopConfig {
 struct PredictionStats {
   std::size_t total = 0;     ///< Raw predictions from BAD.
   std::size_t feasible = 0;  ///< After level-1 pruning (feasible, non-inferior).
-  /// Partitions whose raw BAD run was skipped because nothing the
-  /// prediction depends on changed since the last pass.
+  /// Partitions whose raw BAD run was skipped: nothing the prediction
+  /// depends on changed since the last pass, or the attached
+  /// PredictionMemo held the partition's exact inputs. `total` still
+  /// counts such a partition's raw list at its full size.
   std::size_t reused = 0;
 };
 
@@ -68,14 +77,26 @@ class ChopSession {
   /// config is then unchanged, but the partitioning may have been patched.
   void apply(const EvalDelta& delta);
 
+  /// Attaches `memo` (not owned; null detaches), which every later
+  /// predict_partitions() consults. The memo must outlive its use here and
+  /// hold only entries built over this session's specification graph and
+  /// component library; its key covers everything else.
+  void set_prediction_memo(PredictionMemo* memo) { memo_ = memo; }
+
   /// Runs BAD on every partition whose raw inputs differ from those of its
   /// stored list (all of them on the first pass) and re-applies level-1
   /// pruning wherever the raw list or the pruning inputs changed. Stores
   /// the lists for subsequent search() calls and returns the Table-3/5
   /// stats.
+  ///
+  /// With a memo attached, a partition that needs BAD first looks up its
+  /// exact raw and pruning inputs there: a hit copies the eligible list and
+  /// leaves the partition's raw list empty (it counts in `reused`), and a
+  /// miss stores the eligible list it computed.
   PredictionStats predict_partitions();
 
   /// Per-partition prediction lists from the last predict_partitions().
+  /// A partition served from the memo has an empty raw list.
   const PartitionPredictions& predictions() const { return predictions_; }
 
   /// Data transfer tasks of the current partitioning.
@@ -94,59 +115,37 @@ class ChopSession {
   CandidateEvaluator& evaluator() const { return *evaluator_; }
 
   /// Runs a search over the stored predictions. predict_partitions() must
-  /// have been called since the last apply(). When
-  /// options.evaluator is null the session's own evaluator is used.
+  /// have been called since the last apply(), and an unpruned search
+  /// (options.prune false) throws chop::Error while a partition holds no
+  /// raw list. When options.evaluator is null the session's own evaluator
+  /// is used.
   SearchResult search(const SearchOptions& options) const;
 
   /// Renders the designer guideline for one feasible design (the §3.1
   /// bullet-list output: per-partition style, module library, allocation,
   /// registers, muxes, plus per-transfer-module predictions). The design
-  /// is read from the list family its search indexed (GlobalDesign::prune).
+  /// is read from the list family its search indexed (GlobalDesign::prune);
+  /// an unpruned design throws chop::Error while a raw list is missing.
   std::string guideline(const GlobalDesign& design) const;
 
  private:
-  /// The exact values one partition's raw BAD list is built from: its
-  /// members, the clocking environment, the pipelined-II cap, the
-  /// testability options, the predictor's unit sweep and the memory
-  /// blocks' ports and access times (not where the blocks sit).
-  struct RawInputs {
-    std::vector<dfg::NodeId> members;
-    bad::ClockingStyle clocking = bad::ClockingStyle::SingleCycle;
-    bool allow_pipelining = false;
-    Ns main_clock = 0.0;
-    int datapath_multiplier = 0;
-    int transfer_multiplier = 0;
-    Cycles max_ii_dp = 0;
-    bool scan_design = false;
-    double register_area_factor = 0.0;
-    Ns register_delay_penalty_ns = 0.0;
-    double controller_area_factor = 0.0;
-    Pins test_pins_per_chip = 0;
-    std::vector<int> unit_sweep;
-    std::vector<int> memory_ports;
-    std::vector<Ns> memory_access_times;
-
-    bool operator==(const RawInputs&) const = default;
-  };
-
-  /// What level-1 pruning reads besides the raw list.
-  struct EligibleInputs {
-    AreaMil2 usable_area = 0.0;
-    DesignConstraints constraints;
-    FeasibilityCriteria criteria;
-
-    bool operator==(const EligibleInputs&) const = default;
-  };
-
   /// The inputs one partition's stored lists were built from.
   struct PartitionPredictState {
     RawInputs raw;
     EligibleInputs eligible;
+    std::size_t raw_count = 0;  ///< Size of the raw list, held or not.
+    bool raw_held = false;      ///< False when the memo served the list.
     bool valid = false;
   };
 
   RawInputs raw_inputs(std::size_t p) const;
   EligibleInputs eligible_inputs(std::size_t p) const;
+  /// BAD's raw list for partition `p`.
+  std::vector<bad::DesignPrediction> run_bad(std::size_t p,
+                                             const bad::Predictor& predictor,
+                                             Cycles max_ii_dp) const;
+  /// Whether every partition holds its raw list.
+  bool raw_lists_held() const;
 
   const lib::ComponentLibrary* library_;
   Partitioning partitioning_;
@@ -154,6 +153,7 @@ class ChopSession {
   PartitionPredictions predictions_;
   bool predictions_valid_ = false;
   std::vector<PartitionPredictState> predict_cache_;
+  PredictionMemo* memo_ = nullptr;
   /// Session-lifetime memo cache for integrate(); behind a pointer so the
   /// session stays movable (the cache holds mutexes), mutable because
   /// caching is invisible to the session's logical state (search() stays

@@ -73,6 +73,9 @@ struct GenContext {
   std::vector<int> to_coarsest;
   /// Mean base topological rank per coarsest vertex (level-order seeds).
   std::vector<double> coarsest_rank;
+  /// Eligible lists shared by every start's sessions; null when the
+  /// scoring search is unpruned, since a memo hit leaves no raw list.
+  core::PredictionMemo* memo = nullptr;
 };
 
 std::optional<core::ChopSession> make_session(
@@ -85,7 +88,9 @@ std::optional<core::ChopSession> make_session(
                        static_cast<int>(p));
     }
     pt.validate();
-    return core::ChopSession(ctx.library, std::move(pt), ctx.config);
+    core::ChopSession session(ctx.library, std::move(pt), ctx.config);
+    session.set_prediction_memo(ctx.memo);
+    return session;
   } catch (const Error&) {
     return std::nullopt;
   }
@@ -375,8 +380,9 @@ std::vector<VertexMove> boundary_candidates(const CoarseGraph& g,
 }
 
 /// Runs one portfolio start end to end. A start reads no other start's
-/// state (only the shared evaluator, whose hits never change a result),
-/// which is what makes the outcome independent of thread scheduling.
+/// state (only the shared evaluator and prediction memo, whose hits never
+/// change a result), which is what makes the outcome independent of thread
+/// scheduling.
 StartOutcome run_start(const GenContext& ctx, int start_index) {
   obs::TraceSpan span("gen.start");
   span.arg("start", start_index);
@@ -573,6 +579,10 @@ GenerateResult generate_partitions(const dfg::Graph& spec,
   // across starts and levels, and content-hashed keys make the sharing
   // safe (cache state can change hit counts, never results).
   core::CandidateEvaluator shared_evaluator;
+  // Likewise for prediction: a boundary move changes two partitions of a
+  // cut, so most partitions of a candidate were predicted before. The
+  // memo's key omits the graph and library, so it lives for this call only.
+  core::PredictionMemo prediction_memo;
   GenContext ctx{spec,    library, chips,  memory, config,
                  hierarchy, options, options.search, k,
                  options.budget == 0 ? std::size_t{48} : options.budget,
@@ -585,6 +595,7 @@ GenerateResult generate_partitions(const dfg::Graph& spec,
     ctx.search.deadline = options.deadline;
   }
   if (ctx.search.profile == nullptr) ctx.search.profile = options.profile;
+  if (ctx.search.prune) ctx.memo = &prediction_memo;
 
   // Base vertex -> coarsest vertex, and the mean base topological rank
   // per coarsest vertex for level-order seeds.

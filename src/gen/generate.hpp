@@ -16,7 +16,12 @@
 //  3. Starts run as one batch on a ThreadPool (a private one capped at
 //     num_starts workers, or a shared one) and share one memoizing
 //     CandidateEvaluator, so identical candidate integrations
-//     across starts are cache hits. Starts are independent — none reads
+//     across starts are cache hits. When the scoring search prunes, they
+//     also share one core::PredictionMemo: a partition whose exact raw and
+//     pruning inputs an earlier candidate already predicted takes that
+//     eligible list instead of running BAD (a boundary move changes two
+//     of k partitions). The memo's key leaves out the graph and library,
+//     so it lives for one call. Starts are independent — none reads
 //     another's progress — and their results fold in start order, so
 //     scheduling cannot change which cuts any start evaluates.
 //  4. Every feasible design of every evaluated cut folds into one

@@ -11,125 +11,119 @@ bool is_memory_op(dfg::OpKind kind) {
   return kind == dfg::OpKind::MemRead || kind == dfg::OpKind::MemWrite;
 }
 
-/// First-fit slot search for one resource class of `capacity` units
-/// (negative: unlimited).
-///
-/// Nonpipelined (`ii == 0`) it counts usage per absolute cycle. Pipelined,
-/// it counts usage per phase modulo `ii` only: a reservation adds 1 to
-/// every cycle it covers and 1 to every phase it covers (once per phase,
-/// however long the op), so a cycle's usage never exceeds its phase's and
-/// the phase check alone decides whether a start fits. Fitting then
-/// depends only on the start's phase, so at most `ii` candidate starts
-/// exist; when none fits, none ever will.
-///
-/// Cells only fill up, so a full cell points at the next cell to try
-/// (`next_[c] == c` marks a cell below capacity; pointers are
-/// path-compressed, and wrap around the phases when pipelined). A search
-/// jumps over runs of full cells instead of walking them, and a multi-cycle
-/// op whose window hits a full cell restarts just past it.
-class SlotFinder {
- public:
-  static constexpr Cycles kNoSlot = -1;
-
-  SlotFinder(int capacity, Cycles ii) : capacity_(capacity), ii_(ii) {
-    if (ii_ > 0) {
-      used_.assign(static_cast<std::size_t>(ii_), 0);
-      next_.resize(static_cast<std::size_t>(ii_));
-      std::iota(next_.begin(), next_.end(), Cycles{0});
-    }
-  }
-
-  /// Earliest start >= `ready` at which an op busy for `duration` cycles
-  /// fits, or kNoSlot when no start does.
-  Cycles first_fit(Cycles ready, Cycles duration) {
-    if (capacity_ < 0) return ready;
-    if (capacity_ == 0) return kNoSlot;
-    if (ii_ == 0) {
-      Cycles t = next_free(ready);
-      for (Cycles c = t + 1; c < t + duration; ++c) {
-        if (full(c)) {
-          t = next_free(c + 1);
-          c = t;
-        }
-      }
-      return t;
-    }
-    const Cycles span = std::min(duration, ii_);
-    Cycles k = 0;  // candidate start is ready + k
-    while (k < ii_) {
-      const Cycles p = (ready + k) % ii_;
-      const Cycles q = next_free(p);
-      if (q == kNoSlot) return kNoSlot;
-      k += (q - p + ii_) % ii_;
-      if (k >= ii_) return kNoSlot;
-      Cycles j = 1;
-      while (j < span && !full((q + j) % ii_)) ++j;
-      if (j == span) return ready + k;
-      k += j + 1;
-    }
-    return kNoSlot;
-  }
-
-  /// Occupies [t, t + duration); the caller found `t` with first_fit.
-  void reserve(Cycles t, Cycles duration) {
-    if (capacity_ < 0) return;
-    if (ii_ == 0) {
-      const auto end = static_cast<std::size_t>(t + duration);
-      if (end > used_.size()) {
-        const std::size_t old = next_.size();
-        used_.resize(end, 0);
-        next_.resize(end);
-        std::iota(next_.begin() + static_cast<std::ptrdiff_t>(old),
-                  next_.end(), static_cast<Cycles>(old));
-      }
-      for (Cycles c = t; c < t + duration; ++c) {
-        const auto i = static_cast<std::size_t>(c);
-        if (++used_[i] == capacity_) next_[i] = c + 1;
-      }
-      return;
-    }
-    const Cycles span = std::min(duration, ii_);
-    for (Cycles j = 0; j < span; ++j) {
-      const auto p = static_cast<std::size_t>((t + j) % ii_);
-      if (++used_[p] == capacity_) {
-        next_[p] = (static_cast<Cycles>(p) + 1) % ii_;
-        ++full_cells_;
-      }
-    }
-  }
-
- private:
-  bool full(Cycles c) const {
-    return c < static_cast<Cycles>(used_.size()) &&
-           used_[static_cast<std::size_t>(c)] >= capacity_;
-  }
-
-  /// First cell at or after `c` (circularly when pipelined) below
-  /// capacity; kNoSlot when every phase is full. Cells past the end of a
-  /// nonpipelined timeline are empty.
-  Cycles next_free(Cycles c) {
-    if (ii_ > 0 && full_cells_ == ii_) return kNoSlot;
-    const auto size = static_cast<Cycles>(next_.size());
-    Cycles root = c;
-    while (root < size && next_[static_cast<std::size_t>(root)] != root) {
-      root = next_[static_cast<std::size_t>(root)];
-    }
-    while (c != root && c < size) {
-      const Cycles after = next_[static_cast<std::size_t>(c)];
-      next_[static_cast<std::size_t>(c)] = root;
-      c = after;
-    }
-    return root;
-  }
-
-  int capacity_;
-  Cycles ii_;
-  std::vector<int> used_;     ///< Per cycle, or per phase when pipelined.
-  std::vector<Cycles> next_;  ///< Next cell to try; itself when not full.
-  Cycles full_cells_ = 0;     ///< Full phases (pipelined only).
-};
-
 }  // namespace
+
+// SlotFinder: first-fit slot search for one resource class of `capacity`
+// units (negative: unlimited).
+//
+// Nonpipelined (`ii == 0`) it counts usage per absolute cycle. Pipelined,
+// it counts usage per phase modulo `ii` only: a reservation adds 1 to
+// every cycle it covers and 1 to every phase it covers (once per phase,
+// however long the op), so a cycle's usage never exceeds its phase's and
+// the phase check alone decides whether a start fits. Fitting then
+// depends only on the start's phase, so at most `ii` candidate starts
+// exist; when none fits, none ever will.
+//
+// Cells only fill up, so a full cell points at the next cell to try
+// (`next_[c] == c` marks a cell below capacity; pointers are
+// path-compressed, and wrap around the phases when pipelined). A search
+// jumps over runs of full cells instead of walking them, and a multi-cycle
+// op whose window hits a full cell restarts just past it.
+
+void SchedulePlan::SlotFinder::reset(int capacity, Cycles ii) {
+  capacity_ = capacity;
+  ii_ = ii;
+  full_cells_ = 0;
+  used_.clear();
+  next_.clear();
+  if (ii_ > 0 && capacity_ > 0) {
+    used_.resize(static_cast<std::size_t>(ii_), 0);
+    next_.resize(static_cast<std::size_t>(ii_));
+    std::iota(next_.begin(), next_.end(), Cycles{0});
+  }
+}
+
+/// Earliest start >= `ready` at which an op busy for `duration` cycles
+/// fits, or kNoSlot when no start does.
+Cycles SchedulePlan::SlotFinder::first_fit(Cycles ready, Cycles duration) {
+  if (capacity_ < 0) return ready;
+  if (capacity_ == 0) return kNoSlot;
+  if (ii_ == 0) {
+    Cycles t = next_free(ready);
+    for (Cycles c = t + 1; c < t + duration; ++c) {
+      if (full(c)) {
+        t = next_free(c + 1);
+        c = t;
+      }
+    }
+    return t;
+  }
+  const Cycles span = std::min(duration, ii_);
+  Cycles k = 0;  // candidate start is ready + k
+  while (k < ii_) {
+    const Cycles p = (ready + k) % ii_;
+    const Cycles q = next_free(p);
+    if (q == kNoSlot) return kNoSlot;
+    k += (q - p + ii_) % ii_;
+    if (k >= ii_) return kNoSlot;
+    Cycles j = 1;
+    while (j < span && !full((q + j) % ii_)) ++j;
+    if (j == span) return ready + k;
+    k += j + 1;
+  }
+  return kNoSlot;
+}
+
+/// Occupies [t, t + duration); the caller found `t` with first_fit.
+void SchedulePlan::SlotFinder::reserve(Cycles t, Cycles duration) {
+  if (capacity_ < 0) return;
+  if (ii_ == 0) {
+    const auto end = static_cast<std::size_t>(t + duration);
+    if (end > used_.size()) {
+      const std::size_t old = next_.size();
+      used_.resize(end, 0);
+      next_.resize(end);
+      std::iota(next_.begin() + static_cast<std::ptrdiff_t>(old), next_.end(),
+                static_cast<Cycles>(old));
+    }
+    for (Cycles c = t; c < t + duration; ++c) {
+      const auto i = static_cast<std::size_t>(c);
+      if (++used_[i] == capacity_) next_[i] = c + 1;
+    }
+    return;
+  }
+  const Cycles span = std::min(duration, ii_);
+  for (Cycles j = 0; j < span; ++j) {
+    const auto p = static_cast<std::size_t>((t + j) % ii_);
+    if (++used_[p] == capacity_) {
+      next_[p] = (static_cast<Cycles>(p) + 1) % ii_;
+      ++full_cells_;
+    }
+  }
+}
+
+bool SchedulePlan::SlotFinder::full(Cycles c) const {
+  return c < static_cast<Cycles>(used_.size()) &&
+         used_[static_cast<std::size_t>(c)] >= capacity_;
+}
+
+/// First cell at or after `c` (circularly when pipelined) below capacity;
+/// kNoSlot when every phase is full. Cells past the end of a nonpipelined
+/// timeline are empty.
+Cycles SchedulePlan::SlotFinder::next_free(Cycles c) {
+  if (ii_ > 0 && full_cells_ == ii_) return kNoSlot;
+  const auto size = static_cast<Cycles>(next_.size());
+  Cycles root = c;
+  while (root < size && next_[static_cast<std::size_t>(root)] != root) {
+    root = next_[static_cast<std::size_t>(root)];
+  }
+  while (c != root && c < size) {
+    const Cycles after = next_[static_cast<std::size_t>(c)];
+    next_[static_cast<std::size_t>(c)] = root;
+    c = after;
+  }
+  return root;
+}
 
 int ResourceLimits::limit_for(const dfg::Node& node) const {
   if (dfg::needs_functional_unit(node.kind)) {
@@ -221,18 +215,20 @@ SchedulePlan::SchedulePlan(const dfg::Graph& g,
   const Cycles total_latency =
       std::accumulate(latency_.begin(), latency_.end(), Cycles{0});
   horizon_base_ = levels.length + total_latency + 4;
+  finders_.resize(classes_.size());
 }
 
-OpSchedule SchedulePlan::schedule(const ResourceLimits& limits,
-                                  Cycles ii) const {
-  std::vector<SlotFinder> finders;
-  finders.reserve(classes_.size());
-  for (const ResourceClass& c : classes_) {
-    finders.emplace_back(limits.limit_for(graph_->node(c.representative)), ii);
+const OpSchedule& SchedulePlan::schedule(const ResourceLimits& limits,
+                                         Cycles ii) const {
+  for (std::size_t c = 0; c < classes_.size(); ++c) {
+    finders_[c].reset(
+        limits.limit_for(graph_->node(classes_[c].representative)), ii);
   }
 
-  OpSchedule out;
+  OpSchedule& out = last_;
   out.start.assign(latency_.size(), 0);
+  out.length = 0;
+  out.initiation_interval = 0;
   out.feasible = true;
   const Cycles horizon = horizon_base_ + ii;
   for (std::size_t k = 0; k < order_.size(); ++k) {
@@ -245,7 +241,7 @@ OpSchedule SchedulePlan::schedule(const ResourceLimits& limits,
     Cycles t = ready;
     const int cls = class_of_[i];
     if (cls >= 0 && latency_[i] > 0) {
-      SlotFinder& finder = finders[static_cast<std::size_t>(cls)];
+      SlotFinder& finder = finders_[static_cast<std::size_t>(cls)];
       t = finder.first_fit(ready, latency_[i]);
       if (t == SlotFinder::kNoSlot || t > horizon) {
         out.feasible = false;
@@ -260,12 +256,13 @@ OpSchedule SchedulePlan::schedule(const ResourceLimits& limits,
   return out;
 }
 
-OpSchedule SchedulePlan::list_schedule(const ResourceLimits& limits) const {
+const OpSchedule& SchedulePlan::list_schedule(
+    const ResourceLimits& limits) const {
   return schedule(limits, 0);
 }
 
-OpSchedule SchedulePlan::pipeline_schedule(const ResourceLimits& limits,
-                                           Cycles ii) const {
+const OpSchedule& SchedulePlan::pipeline_schedule(
+    const ResourceLimits& limits, Cycles ii) const {
   CHOP_REQUIRE(ii >= 1, "pipeline initiation interval must be positive");
   return schedule(limits, ii);
 }

@@ -60,18 +60,28 @@ struct OpSchedule {
 /// per-class busy cycles.
 /// Keeps a reference to `g`, which must outlive the plan; the latency
 /// vector is copied.
+///
+/// Scratch. Every schedule from a plan reuses the plan's buffers: the
+/// returned OpSchedule and each class's slot-search arrays keep their
+/// capacity across one module set's allocations and IIs, so a schedule
+/// allocates nothing once the buffers have grown. A schedule returned by
+/// reference is therefore valid only until the plan's next schedule, and
+/// one plan must not schedule on two threads at once. The scratch takes no
+/// lock: Predictor::predict builds each plan locally and uses it on one
+/// thread.
 class SchedulePlan {
  public:
   SchedulePlan(const dfg::Graph& g, std::span<const Cycles> latency);
 
   /// Nonpipelined resource-constrained list scheduling with ALAP urgency.
-  OpSchedule list_schedule(const ResourceLimits& limits) const;
+  const OpSchedule& list_schedule(const ResourceLimits& limits) const;
 
   /// Pipelined (modulo) list scheduling at initiation interval `ii`: every
   /// resource is reserved in the occupied cycles *modulo ii* so overlapped
   /// iterations never oversubscribe a unit. Returns feasible == false when
   /// no placement exists within the scheduling horizon.
-  OpSchedule pipeline_schedule(const ResourceLimits& limits, Cycles ii) const;
+  const OpSchedule& pipeline_schedule(const ResourceLimits& limits,
+                                      Cycles ii) const;
 
   /// Sehwa-style lower bound on the initiation interval:
   /// max over resource classes of ceil(total busy cycles / unit count).
@@ -87,8 +97,30 @@ class SchedulePlan {
     Cycles busy = 0;  ///< Sum of its nodes' latencies.
   };
 
+  /// First-fit slot search for one resource class (see the .cpp).
+  class SlotFinder {
+   public:
+    static constexpr Cycles kNoSlot = -1;
+
+    /// Empties the finder for `capacity` units (negative: unlimited) at
+    /// `ii` (0: nonpipelined), keeping its buffers' capacity.
+    void reset(int capacity, Cycles ii);
+    Cycles first_fit(Cycles ready, Cycles duration);
+    void reserve(Cycles t, Cycles duration);
+
+   private:
+    bool full(Cycles c) const;
+    Cycles next_free(Cycles c);
+
+    int capacity_ = -1;
+    Cycles ii_ = 0;
+    std::vector<int> used_;     ///< Per cycle, or per phase when pipelined.
+    std::vector<Cycles> next_;  ///< Next cell to try; itself when not full.
+    Cycles full_cells_ = 0;     ///< Full phases (pipelined only).
+  };
+
   /// `ii == 0` means nonpipelined (no modulo reservation).
-  OpSchedule schedule(const ResourceLimits& limits, Cycles ii) const;
+  const OpSchedule& schedule(const ResourceLimits& limits, Cycles ii) const;
 
   const dfg::Graph* graph_;
   std::vector<Cycles> latency_;
@@ -103,6 +135,9 @@ class SchedulePlan {
   /// Critical-path length + total latency + 4; a pipelined schedule adds
   /// its II. Finite, so an infeasible II terminates.
   Cycles horizon_base_ = 0;
+  /// Scratch: the last schedule, and one slot finder per class.
+  mutable OpSchedule last_;
+  mutable std::vector<SlotFinder> finders_;
 };
 
 /// One-shot forms of the SchedulePlan members; each builds a plan.

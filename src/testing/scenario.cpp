@@ -96,10 +96,13 @@ ScenarioKnobs sample_knobs(std::uint64_t seed) {
   k.transfer_mult = pick(rng, {1, 2});
   k.performance_ns = static_cast<int>(rng.uniform(16, 120)) * 500;
   k.delay_ns = static_cast<int>(rng.uniform(16, 120)) * 500;
+  // Scenario designs draw about 40-200 mW, so these budgets bind: 20-280
+  // mW per system, 10-145 mW per chip. The draws' spans (53 and 28 values)
+  // fix how much generator state they consume.
   if (rng.chance(0.25)) {
-    k.system_power_mw = static_cast<int>(rng.uniform(8, 60)) * 100;
+    k.system_power_mw = static_cast<int>(rng.uniform(4, 56)) * 5;
     if (rng.chance(0.5)) {
-      k.chip_power_mw = static_cast<int>(rng.uniform(3, 30)) * 100;
+      k.chip_power_mw = static_cast<int>(rng.uniform(2, 29)) * 5;
     }
   }
   k.performance_prob_pct = pick(rng, {90, 100});
