@@ -25,6 +25,11 @@ std::string DesignPrediction::summary() const {
   return os.str();
 }
 
+Level1Fields level1_fields(const DesignPrediction& p) {
+  return {p.total_area, p.clock_overhead_ns, p.ii_main, p.latency_main,
+          p.power_mw};
+}
+
 bool dominates(const DesignPrediction& a, const DesignPrediction& b) {
   // Styles are incomparable: a nonpipelined design is strictly more
   // flexible at integration time (the pipelined data-rate-mismatch rule of

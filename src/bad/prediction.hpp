@@ -59,7 +59,22 @@ struct DesignPrediction {
 
   /// One-line summary for logs and the designer guideline output.
   std::string summary() const;
+
+  bool operator==(const DesignPrediction&) const = default;
 };
+
+/// The fields of a prediction that CHOP's level-1 pruning reads (paper
+/// §2.1). A filtered sweep also fills them with lower bounds of a point
+/// it has scheduled but not yet built (Predictor::predict).
+struct Level1Fields {
+  StatVal total_area;
+  Ns clock_overhead_ns = 0.0;
+  Cycles ii_main = 1;
+  Cycles latency_main = 1;
+  StatVal power_mw;
+};
+
+Level1Fields level1_fields(const DesignPrediction& p);
 
 /// Pareto dominance on (most-likely area, II, latency): true when `a` is no
 /// worse than `b` on all three and strictly better on at least one. Used by

@@ -39,16 +39,19 @@ struct ModuleSetFacts {
   std::map<dfg::OpKind, std::string> module_names;
   Bits max_width = 1;
   std::map<dfg::OpKind, Cycles> busy_cycles;
-  std::map<int, int> memory_accesses;
-  const OpProfile* ops = nullptr;  ///< Of the graph, shared by every set.
+  // Of the graph, shared by every set.
+  const std::map<int, int>* memory_accesses = nullptr;
+  const OpProfile* ops = nullptr;
 };
 
 ModuleSetFacts module_set_facts(const dfg::Graph& g, const lib::ModuleSet& set,
                                 std::span<const Cycles> latency,
+                                const std::map<int, int>& memory_accesses,
                                 const OpProfile& ops) {
   ModuleSetFacts facts;
   facts.set = &set;
   facts.latency = latency;
+  facts.memory_accesses = &memory_accesses;
   facts.ops = &ops;
   facts.label = set.label();
   for (const auto& [kind, module] : set.choices()) {
@@ -56,16 +59,52 @@ ModuleSetFacts module_set_facts(const dfg::Graph& g, const lib::ModuleSet& set,
     facts.max_width = std::max(facts.max_width, module->width);
   }
   facts.busy_cycles = busy_cycles_by_kind(g, latency);
-  facts.memory_accesses = memory_profile(g);
   return facts;
+}
+
+/// Functional-unit area and unit count of one allocation: exact given the
+/// allocation, so the same for every schedule of it.
+struct FuTotals {
+  double area = 0.0;
+  int units = 0;
+};
+
+FuTotals fu_totals(const lib::ModuleSet& set,
+                   const std::map<dfg::OpKind, int>& alloc) {
+  FuTotals fu;
+  for (const auto& [kind, count] : alloc) {
+    fu.area += static_cast<double>(count) * set.module_for(kind).area;
+    fu.units += count;
+  }
+  return fu;
+}
+
+/// The timing of one scheduled point, known before it is built.
+struct PointTiming {
+  Cycles stages = 1;
+  Cycles ii_dp = 1;
+  Cycles ii_main = 1;
+  Cycles latency_main = 1;
+};
+
+PointTiming point_timing(const sched::OpSchedule& schedule, DesignStyle style,
+                         const ClockSpec& clocks) {
+  PointTiming t;
+  t.stages = std::max<Cycles>(1, schedule.length);
+  t.ii_dp = style == DesignStyle::Pipelined ? schedule.initiation_interval
+                                            : t.stages;
+  t.ii_main = t.ii_dp * clocks.datapath_multiplier;
+  t.latency_main = t.stages * clocks.datapath_multiplier;
+  return t;
 }
 
 /// Builds the full DesignPrediction for one scheduled point.
 DesignPrediction make_prediction(const PredictionRequest& req,
                                  const ModuleSetFacts& facts,
                                  const std::map<dfg::OpKind, int>& alloc,
+                                 const FuTotals& fu,
                                  const sched::OpSchedule& schedule,
-                                 DesignStyle style) {
+                                 DesignStyle style, const PointTiming& t) {
   const dfg::Graph& g = *req.graph;
   const lib::ComponentLibrary& library = *req.library;
   const lib::TechnologyParams& tech = library.technology();
@@ -76,19 +115,16 @@ DesignPrediction make_prediction(const PredictionRequest& req,
   p.module_set_label = facts.label;
   p.module_names = facts.module_names;
   p.fu_alloc = alloc;
-  p.stages = std::max<Cycles>(1, schedule.length);
-  p.ii_dp = style == DesignStyle::Pipelined
-                ? schedule.initiation_interval
-                : p.stages;
-  p.ii_main = p.ii_dp * req.clocks.datapath_multiplier;
-  p.latency_main = p.stages * req.clocks.datapath_multiplier;
+  p.stages = t.stages;
+  p.ii_dp = t.ii_dp;
+  p.ii_main = t.ii_main;
+  p.latency_main = t.latency_main;
 
   DatapathEstimate dp = estimate_datapath(g, facts.latency, schedule, alloc,
                                           library, *facts.ops);
   // Scan-design overheads (§5): heavier registers, a scan mux on the
   // register setup path, a fatter controller.
   const TestabilityOptions& test = req.testability;
-  test.validate();
   if (test.scan_design) {
     dp.register_area = dp.register_area * test.register_area_factor;
     dp.steering_delay += test.register_delay_penalty_ns;
@@ -96,14 +132,7 @@ DesignPrediction make_prediction(const PredictionRequest& req,
   p.register_bits = dp.register_bits;
   p.mux_count_likely = dp.mux_count.likely();
 
-  // Functional unit area is exact given the allocation.
-  double fu_area = 0.0;
-  int fu_total = 0;
-  for (const auto& [kind, count] : alloc) {
-    fu_area += static_cast<double>(count) * set.module_for(kind).area;
-    fu_total += count;
-  }
-  p.fu_area = StatVal(fu_area);
+  p.fu_area = StatVal(fu.area);
   p.register_area = dp.register_area;
   p.mux_area = dp.mux_area;
 
@@ -111,7 +140,7 @@ DesignPrediction make_prediction(const PredictionRequest& req,
       (p.register_bits + facts.max_width - 1) /
       std::max<Bits>(1, facts.max_width));
   const PlaEstimate pla = estimate_controller(
-      p.stages, fu_total, register_words,
+      p.stages, fu.units, register_words,
       static_cast<int>(dp.mux_count.likely()), tech);
   p.controller_area = test.scan_design
                           ? pla.area * test.controller_area_factor
@@ -137,9 +166,59 @@ DesignPrediction make_prediction(const PredictionRequest& req,
   p.power_mw = estimate_datapath_power(set, alloc, facts.busy_cycles, p.ii_dp,
                                        support_area, tech);
 
-  p.memory_accesses = facts.memory_accesses;
+  p.memory_accesses = *facts.memory_accesses;
   return p;
 }
+
+/// Lower bounds of every level-1 field of a point, known once it is
+/// scheduled: exact II and latency; the area triangle of the functional
+/// units plus their own wiring share (registers, muxes and controller add
+/// nonnegative area, so make_prediction's sums only grow from here); no
+/// clock overhead and no power.
+Level1Fields level1_floor(const FuTotals& fu, const PointTiming& t,
+                          const lib::TechnologyParams& tech) {
+  Level1Fields floor;
+  floor.total_area = StatVal(fu.area) + tech.wiring_area_fraction * fu.area;
+  floor.ii_main = t.ii_main;
+  floor.latency_main = t.latency_main;
+  return floor;
+}
+
+/// The (likely area, II, latency) of the built points a filter admitted,
+/// per style, reduced to those no other one is no worse than.
+class AdmittedFront {
+ public:
+  /// True when an admitted point of `style` is no worse than the bounds.
+  bool covers(DesignStyle style, double area, Cycles ii,
+              Cycles latency) const {
+    for (const Entry& e : entries_[index(style)]) {
+      if (e.area <= area && e.ii <= ii && e.latency <= latency) return true;
+    }
+    return false;
+  }
+
+  void add(DesignStyle style, double area, Cycles ii, Cycles latency) {
+    if (covers(style, area, ii, latency)) return;
+    std::vector<Entry>& list = entries_[index(style)];
+    std::erase_if(list, [&](const Entry& e) {
+      return area <= e.area && ii <= e.ii && latency <= e.latency;
+    });
+    list.push_back({area, ii, latency});
+  }
+
+ private:
+  struct Entry {
+    double area;
+    Cycles ii;
+    Cycles latency;
+  };
+
+  static std::size_t index(DesignStyle style) {
+    return style == DesignStyle::Pipelined ? 1 : 0;
+  }
+
+  std::vector<Entry> entries_[2];
+};
 
 }  // namespace
 
@@ -153,16 +232,28 @@ Predictor::Predictor(PredictorOptions options) : options_(std::move(options)) {
 
 std::vector<DesignPrediction> Predictor::predict(
     const PredictionRequest& req) const {
+  return sweep(req, nullptr).admitted;
+}
+
+FilteredPredictions Predictor::predict(const PredictionRequest& req,
+                                       const Level1Filter& level1) const {
+  return sweep(req, &level1);
+}
+
+FilteredPredictions Predictor::sweep(const PredictionRequest& req,
+                                     const Level1Filter* level1) const {
   obs::TraceSpan span("bad.predict");
   CHOP_REQUIRE(req.graph != nullptr, "prediction request needs a graph");
   CHOP_REQUIRE(req.library != nullptr, "prediction request needs a library");
   req.clocks.validate();
+  req.testability.validate();
   req.graph->validate();
 
   const dfg::Graph& g = *req.graph;
   const std::vector<dfg::OpKind> kinds = lib::functional_kinds(g);
   CHOP_REQUIRE(req.library->covers(kinds),
                "component library does not cover the graph");
+  const lib::TechnologyParams& tech = req.library->technology();
 
   // Ops per kind bound the useful allocation sweep.
   std::map<dfg::OpKind, int> ops_of_kind;
@@ -182,8 +273,10 @@ std::vector<DesignPrediction> Predictor::predict(
   static obs::Counter& schedules =
       obs::MetricsRegistry::global().counter("bad.schedules");
 
-  std::vector<DesignPrediction> out;
+  FilteredPredictions out;
+  AdmittedFront front;
   const OpProfile ops = op_profile(g);
+  const std::map<int, int> memory_accesses = memory_profile(g);
 
   for (const lib::ModuleSet& set :
        lib::enumerate_module_sets(*req.library, kinds)) {
@@ -193,7 +286,8 @@ std::vector<DesignPrediction> Predictor::predict(
     if (!latency_opt) continue;  // single-cycle: module set does not fit
     module_sets.add();
     const std::vector<Cycles>& latency = *latency_opt;
-    const ModuleSetFacts facts = module_set_facts(g, set, latency, ops);
+    const ModuleSetFacts facts =
+        module_set_facts(g, set, latency, memory_accesses, ops);
     const sched::SchedulePlan plan(g, latency);
 
     // Allocation sweep: cartesian product of per-kind unit counts.
@@ -217,6 +311,33 @@ std::vector<DesignPrediction> Predictor::predict(
     }
 
     for (const auto& alloc : allocs) {
+      const FuTotals fu = fu_totals(set, alloc);
+      // One point of the unfiltered sweep: skipped when level 1 cannot
+      // keep it (see FilteredPredictions), else built.
+      const auto visit = [&](const sched::OpSchedule& schedule,
+                             DesignStyle style, const PointTiming& t) {
+        ++out.raw_count;
+        if (level1 != nullptr) {
+          const Level1Fields floor = level1_floor(fu, t, tech);
+          if (!level1->admits(floor)) {
+            ++out.skipped_bound;
+            return;
+          }
+          if (front.covers(style, floor.total_area.likely(), t.ii_main,
+                           t.latency_main)) {
+            ++out.skipped_dominated;
+            return;
+          }
+        }
+        DesignPrediction p =
+            make_prediction(req, facts, alloc, fu, schedule, style, t);
+        if (level1 != nullptr) {
+          if (!level1->admits(level1_fields(p))) return;
+          front.add(style, p.total_area.likely(), p.ii_main, p.latency_main);
+        }
+        out.admitted.push_back(std::move(p));
+      };
+
       sched::ResourceLimits limits;
       limits.fu = alloc;
       limits.memory_ports = req.memory_ports;
@@ -224,9 +345,10 @@ std::vector<DesignPrediction> Predictor::predict(
       const sched::OpSchedule& nonpipe = plan.list_schedule(limits);
       schedules.add();
       CHOP_ASSERT(nonpipe.feasible, "nonpipelined list schedule cannot fail");
-      out.push_back(make_prediction(req, facts, alloc, nonpipe,
-                                    DesignStyle::Nonpipelined));
-      const Cycles stages = out.back().stages;
+      const PointTiming nonpipe_timing =
+          point_timing(nonpipe, DesignStyle::Nonpipelined, req.clocks);
+      visit(nonpipe, DesignStyle::Nonpipelined, nonpipe_timing);
+      const Cycles stages = nonpipe_timing.stages;
 
       if (!req.style.allow_pipelining || stages <= 1) continue;
       const Cycles min_ii =
@@ -237,15 +359,27 @@ std::vector<DesignPrediction> Predictor::predict(
         const sched::OpSchedule& pipe = plan.pipeline_schedule(limits, ii);
         schedules.add();
         if (!pipe.feasible) continue;
-        out.push_back(make_prediction(req, facts, alloc, pipe,
-                                      DesignStyle::Pipelined));
+        visit(pipe, DesignStyle::Pipelined,
+              point_timing(pipe, DesignStyle::Pipelined, req.clocks));
       }
     }
   }
   static obs::Counter& raw =
       obs::MetricsRegistry::global().counter("bad.predictions_raw");
-  raw.add(out.size());
-  span.arg("predictions", out.size());
+  static obs::Counter& built_counter =
+      obs::MetricsRegistry::global().counter("bad.predictions_built");
+  static obs::Counter& skipped_bound =
+      obs::MetricsRegistry::global().counter("bad.skipped_bound");
+  static obs::Counter& skipped_dominated =
+      obs::MetricsRegistry::global().counter("bad.skipped_dominated");
+  raw.add(out.raw_count);
+  built_counter.add(out.built());
+  skipped_bound.add(out.skipped_bound);
+  skipped_dominated.add(out.skipped_dominated);
+  span.arg("predictions", out.raw_count);
+  span.arg("built", out.built());
+  span.arg("skipped_bound", out.skipped_bound);
+  span.arg("skipped_dominated", out.skipped_dominated);
   return out;
 }
 

@@ -51,6 +51,38 @@ struct PredictorOptions {
   std::vector<int> unit_sweep = {1, 2, 3, 4, 6, 8, 12, 16};
 };
 
+/// A per-point level-1 test the sweep consults (CHOP's is
+/// core::Level1Test). It must be monotone: a point it admits makes it
+/// admit every point whose area triangle is componentwise no larger and
+/// whose other fields are no larger.
+class Level1Filter {
+ public:
+  virtual bool admits(const Level1Fields& point) const = 0;
+
+ protected:
+  ~Level1Filter() = default;
+};
+
+/// What a sweep under a Level1Filter returns.
+struct FilteredPredictions {
+  /// The built points the filter admits, in sweep order. pareto_filter()
+  /// over them equals pareto_filter() over the points of the unfiltered
+  /// sweep the filter admits.
+  std::vector<DesignPrediction> admitted;
+  /// Size of the unfiltered sweep's list: every point is still scheduled.
+  std::size_t raw_count = 0;
+  /// Points not built because their lower bounds fail the filter.
+  std::size_t skipped_bound = 0;
+  /// Points not built because an earlier built, admitted point of the
+  /// same style is no worse on (likely area, II, latency).
+  std::size_t skipped_dominated = 0;
+
+  /// Points built (make_prediction), admitted or not.
+  std::size_t built() const {
+    return raw_count - skipped_bound - skipped_dominated;
+  }
+};
+
 /// The predictor. Stateless apart from options; predict() is const and
 /// thread-compatible.
 class Predictor {
@@ -63,7 +95,16 @@ class Predictor {
   /// library cannot cover the graph.
   std::vector<DesignPrediction> predict(const PredictionRequest& request) const;
 
+  /// The same sweep with level 1 inside it: every schedule still runs,
+  /// but a point is built only when it could survive `level1` and the
+  /// Pareto filter (docs/ARCHITECTURE.md, "Level 1 in the sweep").
+  FilteredPredictions predict(const PredictionRequest& request,
+                              const Level1Filter& level1) const;
+
  private:
+  FilteredPredictions sweep(const PredictionRequest& request,
+                            const Level1Filter* level1) const;
+
   PredictorOptions options_;
 };
 

@@ -25,7 +25,10 @@
 // from, never the raw list: a raw list is hundreds of predictions where
 // the eligible one is a handful, and keeping raw lists would multiply the
 // memo's footprint. A session served from the memo therefore holds no raw
-// list for that partition (see ChopSession::predict_partitions()).
+// list for that partition (see ChopSession::predict_partitions()) — the
+// same state a pruned-only session's bounded sweep leaves, which is why
+// generation declares its memo sessions pruned-only: a miss there never
+// builds the raw list either, and stores the same value.
 //
 // Bound and threads. At most kMaxEntries entries, the oldest evicted first.
 // Every member takes one mutex, so sessions on different threads may share

@@ -28,48 +28,94 @@ std::size_t PartitionPredictions::eligible_total() const {
   return total;
 }
 
-std::vector<bad::DesignPrediction> prune_level1(
-    std::vector<bad::DesignPrediction> predictions, AreaMil2 chip_usable_area,
-    const bad::ClockSpec& clocks, const DesignConstraints& constraints,
-    const FeasibilityCriteria& criteria) {
-  constraints.validate();
-  criteria.validate();
+Level1Test::Level1Test(AreaMil2 chip_usable_area, const bad::ClockSpec& clocks,
+                       const DesignConstraints& constraints,
+                       const FeasibilityCriteria& criteria)
+    : usable_area_(chip_usable_area),
+      main_clock_(clocks.main_clock),
+      constraints_(constraints),
+      criteria_(criteria) {
+  constraints_.validate();
+  criteria_.validate();
+}
 
-  const std::size_t input_count = predictions.size();
-  std::vector<bad::DesignPrediction> feasible;
-  for (auto& p : predictions) {
-    if (!criteria.area_ok(p.total_area, chip_usable_area)) continue;
-    // Optimistic clock (the partition's own overhead only — integration
-    // can only make it worse, so this prune is conservative/safe).
-    const Ns base = clocks.main_clock + p.clock_overhead_ns;
-    const StatVal clock(clocks.main_clock + 0.9 * p.clock_overhead_ns, base,
-                        clocks.main_clock + 1.15 * p.clock_overhead_ns);
-    const StatVal perf = clock * static_cast<double>(p.ii_main);
-    if (!criteria.performance_ok(perf, constraints.performance_ns)) continue;
-    const StatVal delay = clock * static_cast<double>(p.latency_main);
-    if (!criteria.delay_ok(delay, constraints.delay_ns)) continue;
-    // Power: a partition alone already over a budget can never integrate.
-    if (constraints.power_constrained()) {
-      if (!criteria.power_ok(p.power_mw, constraints.chip_power_mw)) continue;
-      if (!criteria.power_ok(p.power_mw, constraints.system_power_mw)) {
-        continue;
-      }
-    }
-    feasible.push_back(std::move(p));
+bool Level1Test::admits(const bad::Level1Fields& p) const {
+  if (!criteria_.area_ok(p.total_area, usable_area_)) return false;
+  // Optimistic clock (the partition's own overhead only — integration
+  // can only make it worse, so this prune is conservative/safe).
+  const Ns base = main_clock_ + p.clock_overhead_ns;
+  const StatVal clock(main_clock_ + 0.9 * p.clock_overhead_ns, base,
+                      main_clock_ + 1.15 * p.clock_overhead_ns);
+  const StatVal perf = clock * static_cast<double>(p.ii_main);
+  if (!criteria_.performance_ok(perf, constraints_.performance_ns)) {
+    return false;
   }
-  const std::size_t feasible_count = feasible.size();
-  std::vector<bad::DesignPrediction> kept =
-      bad::pareto_filter(std::move(feasible));
-  // Constraint-infeasible drops and Pareto-inferior drops are distinct
-  // phenomena (the Tables-3/5 reconciliation needs both), so they are
-  // counted separately.
+  const StatVal delay = clock * static_cast<double>(p.latency_main);
+  if (!criteria_.delay_ok(delay, constraints_.delay_ns)) return false;
+  // Power: a partition alone already over a budget can never integrate.
+  if (constraints_.power_constrained()) {
+    if (!criteria_.power_ok(p.power_mw, constraints_.chip_power_mw)) {
+      return false;
+    }
+    if (!criteria_.power_ok(p.power_mw, constraints_.system_power_mw)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+namespace {
+
+// Constraint-infeasible drops and Pareto-inferior drops are distinct
+// phenomena (the Tables-3/5 reconciliation needs both), so they are
+// counted separately.
+void count_level1_drops(std::size_t infeasible, std::size_t pareto) {
   static obs::Counter& pruned_infeasible =
       obs::MetricsRegistry::global().counter("search.pruned_infeasible");
   static obs::Counter& pruned_pareto =
       obs::MetricsRegistry::global().counter("search.pruned_pareto");
-  pruned_infeasible.add(input_count - feasible_count);
-  pruned_pareto.add(feasible_count - kept.size());
+  pruned_infeasible.add(infeasible);
+  pruned_pareto.add(pareto);
+}
+
+}  // namespace
+
+std::vector<bad::DesignPrediction> prune_level1(
+    std::vector<bad::DesignPrediction> predictions, const Level1Test& level1) {
+  const std::size_t input_count = predictions.size();
+  std::vector<bad::DesignPrediction> feasible;
+  for (auto& p : predictions) {
+    if (level1.admits(bad::level1_fields(p))) feasible.push_back(std::move(p));
+  }
+  const std::size_t feasible_count = feasible.size();
+  std::vector<bad::DesignPrediction> kept =
+      bad::pareto_filter(std::move(feasible));
+  count_level1_drops(input_count - feasible_count,
+                     feasible_count - kept.size());
   return kept;
+}
+
+std::vector<bad::DesignPrediction> prune_level1(
+    std::vector<bad::DesignPrediction> predictions, AreaMil2 chip_usable_area,
+    const bad::ClockSpec& clocks, const DesignConstraints& constraints,
+    const FeasibilityCriteria& criteria) {
+  return prune_level1(std::move(predictions),
+                      Level1Test(chip_usable_area, clocks, constraints,
+                                 criteria));
+}
+
+Level1Prediction predict_level1(const bad::Predictor& predictor,
+                                const bad::PredictionRequest& request,
+                                const Level1Test& level1) {
+  bad::FilteredPredictions sweep = predictor.predict(request, level1);
+  const std::size_t built = sweep.built();
+  const std::size_t admitted = sweep.admitted.size();
+  Level1Prediction out;
+  out.eligible = bad::pareto_filter(std::move(sweep.admitted));
+  out.raw_count = sweep.raw_count;
+  count_level1_drops(sweep.skipped_bound + (built - admitted),
+                     sweep.skipped_dominated + (admitted - out.eligible.size()));
+  return out;
 }
 
 namespace {

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "bad/prediction.hpp"
+#include "bad/predictor.hpp"
 #include "core/integration.hpp"
 #include "core/recorder.hpp"
 #include "obs/observer.hpp"
@@ -160,15 +161,52 @@ struct SearchResult {
   DesignSpaceRecorder recorder;       ///< Populated when record_all.
 };
 
-/// Level-1 pruning (paper §2.1): drops predictions that are infeasible on
-/// their own — area beyond their chip's usable area, initiation interval
-/// or latency beyond the absolute constraints even before integration —
-/// and then removes Pareto-inferior predictions. Drops are counted
-/// separately as `search.pruned_infeasible` and `search.pruned_pareto`.
+/// Level 1's per-point test (paper §2.1): whether one prediction is
+/// feasible on its own — area within its chip's usable area, initiation
+/// interval, latency and power within the absolute constraints even before
+/// integration. The clock it charges is the partition's own overhead only;
+/// integration can only make it worse, so the test is conservative. It is
+/// monotone in every field, so BAD's sweep may apply it to lower bounds.
+class Level1Test final : public bad::Level1Filter {
+ public:
+  Level1Test(AreaMil2 chip_usable_area, const bad::ClockSpec& clocks,
+             const DesignConstraints& constraints,
+             const FeasibilityCriteria& criteria);
+
+  bool admits(const bad::Level1Fields& p) const override;
+
+ private:
+  AreaMil2 usable_area_;
+  Ns main_clock_;
+  DesignConstraints constraints_;
+  FeasibilityCriteria criteria_;
+};
+
+/// Level-1 pruning (paper §2.1): drops the predictions `level1` rejects,
+/// then removes Pareto-inferior predictions. Drops are counted separately
+/// as `search.pruned_infeasible` and `search.pruned_pareto`.
+std::vector<bad::DesignPrediction> prune_level1(
+    std::vector<bad::DesignPrediction> predictions, const Level1Test& level1);
+
+/// The same, building the test from its inputs.
 std::vector<bad::DesignPrediction> prune_level1(
     std::vector<bad::DesignPrediction> predictions, AreaMil2 chip_usable_area,
     const bad::ClockSpec& clocks, const DesignConstraints& constraints,
     const FeasibilityCriteria& criteria);
+
+/// One partition's level-1 list built inside BAD's sweep.
+struct Level1Prediction {
+  std::vector<bad::DesignPrediction> eligible;
+  std::size_t raw_count = 0;  ///< Size of predictor.predict(request).
+};
+
+/// prune_level1(predictor.predict(request), level1), byte for byte, from a
+/// sweep that builds only the points level 1 could keep and never holds
+/// the raw list. The drop counters still sum to raw_count minus the
+/// eligible count; a point skipped as dominated counts as a Pareto drop.
+Level1Prediction predict_level1(const bad::Predictor& predictor,
+                                const bad::PredictionRequest& request,
+                                const Level1Test& level1);
 
 /// Runs the selected heuristic over `pred` (uses `eligible` when
 /// options.prune, else `raw`) under `ctx`, which must describe the same

@@ -67,14 +67,20 @@ EligibleInputs ChopSession::eligible_inputs(std::size_t p) const {
           config_.constraints, config_.criteria};
 }
 
-bool ChopSession::raw_lists_held() const {
-  return std::all_of(
-      predict_cache_.begin(), predict_cache_.end(),
-      [](const PartitionPredictState& state) { return state.raw_held; });
+bool ChopSession::raw_lists_usable() const {
+  return !pruned_searches_only_ &&
+         std::all_of(
+             predict_cache_.begin(), predict_cache_.end(),
+             [](const PartitionPredictState& state) { return state.raw_held; });
 }
 
-std::vector<bad::DesignPrediction> ChopSession::run_bad(
-    std::size_t p, const bad::Predictor& predictor, Cycles max_ii_dp) const {
+Level1Test ChopSession::level1_test(const EligibleInputs& eligible) const {
+  return Level1Test(eligible.usable_area, config_.clocks, eligible.constraints,
+                    eligible.criteria);
+}
+
+void ChopSession::run_bad(std::size_t p, const bad::Predictor& predictor,
+                          Cycles max_ii_dp, const EligibleInputs& eligible) {
   obs::TraceSpan partition_span("session.predict.partition");
   partition_span.arg("partition", partitioning_.partitions()[p].name);
   const dfg::Subgraph sub = partitioning_.subgraph(static_cast<int>(p));
@@ -93,7 +99,21 @@ std::vector<bad::DesignPrediction> ChopSession::run_bad(
     request.memory_access_time.push_back(
         partitioning_.memory().blocks[b].access_time);
   }
-  return predictor.predict(request);
+
+  PartitionPredictState& state = predict_cache_[p];
+  const Level1Test level1 = level1_test(eligible);
+  if (pruned_searches_only_) {
+    Level1Prediction bounded = predict_level1(predictor, request, level1);
+    predictions_.raw[p] = {};
+    predictions_.eligible[p] = std::move(bounded.eligible);
+    state.raw_count = bounded.raw_count;
+    state.raw_held = false;
+  } else {
+    predictions_.raw[p] = predictor.predict(request);
+    predictions_.eligible[p] = prune_level1(predictions_.raw[p], level1);
+    state.raw_count = predictions_.raw[p].size();
+    state.raw_held = true;
+  }
 }
 
 PredictionStats ChopSession::predict_partitions() {
@@ -124,8 +144,7 @@ PredictionStats ChopSession::predict_partitions() {
       reused_counter.add();
       if (!eligible_same) {
         predictions_.eligible[p] =
-            prune_level1(predictions_.raw[p], eligible.usable_area,
-                         config_.clocks, config_.constraints, config_.criteria);
+            prune_level1(predictions_.raw[p], level1_test(eligible));
         state.eligible = std::move(eligible);
       }
     } else if (hit != nullptr) {
@@ -138,13 +157,8 @@ PredictionStats ChopSession::predict_partitions() {
       state.raw = std::move(raw);
       state.eligible = std::move(eligible);
     } else {
-      predictions_.raw[p] = run_bad(p, predictor, raw.max_ii_dp);
+      run_bad(p, predictor, raw.max_ii_dp, eligible);
       recomputed_counter.add();
-      predictions_.eligible[p] =
-          prune_level1(predictions_.raw[p], eligible.usable_area,
-                       config_.clocks, config_.constraints, config_.criteria);
-      state.raw_count = predictions_.raw[p].size();
-      state.raw_held = true;
       if (memo_ != nullptr) {
         memo_->insert(raw, eligible,
                       {predictions_.eligible[p], state.raw_count});
@@ -203,9 +217,10 @@ SearchResult ChopSession::search(const SearchOptions& options) const {
   obs::TraceSpan span("session.search");
   CHOP_REQUIRE(predictions_valid_,
                "call predict_partitions() before search()");
-  CHOP_REQUIRE(options.prune || raw_lists_held(),
-               "an unpruned search needs raw lists, and a partition served "
-               "from the prediction memo holds none");
+  CHOP_REQUIRE(options.prune || raw_lists_usable(),
+               "an unpruned search needs raw lists, which a pruned-only "
+               "session and a partition served from the prediction memo "
+               "do not hold");
   SearchOptions opts = options;
   if (opts.evaluator == nullptr) opts.evaluator = evaluator_.get();
   return find_feasible_implementations(make_eval_context(), predictions_,
@@ -217,9 +232,10 @@ std::string ChopSession::guideline(const GlobalDesign& design) const {
   const auto& partitions = partitioning_.partitions();
   CHOP_REQUIRE(design.choice.size() == partitions.size(),
                "design does not match the current partitioning");
-  CHOP_REQUIRE(design.prune || raw_lists_held(),
-               "an unpruned design needs raw lists, and a partition served "
-               "from the prediction memo holds none");
+  CHOP_REQUIRE(design.prune || raw_lists_usable(),
+               "an unpruned design needs raw lists, which a pruned-only "
+               "session and a partition served from the prediction memo "
+               "do not hold");
 
   std::ostringstream os;
   os << "Feasible predicted design: II=" << design.integration.ii_main

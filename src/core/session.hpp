@@ -18,6 +18,13 @@
 // partition whose exact inputs are in the memo takes its eligible list
 // from there instead of running BAD. Such a partition then holds no raw
 // list, so only pruned searches run on the session.
+//
+// A session declared pruned-only (set_pruned_searches_only()) runs level 1
+// inside BAD's sweep for every stale partition: it builds only the
+// predictions level 1 could keep, gets the same eligible list and raw
+// count, and holds no raw list — the state a memo hit leaves. Served jobs
+// that are not keep-all and generation's scoring sessions declare it;
+// every other session keeps its raw lists.
 #pragma once
 
 #include <iosfwd>
@@ -83,6 +90,14 @@ class ChopSession {
   /// component library; its key covers everything else.
   void set_prediction_memo(PredictionMemo* memo) { memo_ = memo; }
 
+  /// Declares (off by default) that every search on this session is
+  /// pruned. Later predict_partitions() passes then predict each stale
+  /// partition with level 1 inside BAD's sweep (core::predict_level1):
+  /// the same eligible list and `total`, no raw list. While it is on, an
+  /// unpruned search() or guideline() throws chop::Error. A list built
+  /// under it stays raw-free until its partition's inputs change.
+  void set_pruned_searches_only(bool on) { pruned_searches_only_ = on; }
+
   /// Runs BAD on every partition whose raw inputs differ from those of its
   /// stored list (all of them on the first pass) and re-applies level-1
   /// pruning wherever the raw list or the pruning inputs changed. Stores
@@ -96,7 +111,8 @@ class ChopSession {
   PredictionStats predict_partitions();
 
   /// Per-partition prediction lists from the last predict_partitions().
-  /// A partition served from the memo has an empty raw list.
+  /// A partition served from the memo or predicted pruned-only has an
+  /// empty raw list.
   const PartitionPredictions& predictions() const { return predictions_; }
 
   /// Data transfer tasks of the current partitioning.
@@ -116,16 +132,16 @@ class ChopSession {
 
   /// Runs a search over the stored predictions. predict_partitions() must
   /// have been called since the last apply(), and an unpruned search
-  /// (options.prune false) throws chop::Error while a partition holds no
-  /// raw list. When options.evaluator is null the session's own evaluator
-  /// is used.
+  /// (options.prune false) throws chop::Error on a pruned-only session or
+  /// while a partition holds no raw list. When options.evaluator is null
+  /// the session's own evaluator is used.
   SearchResult search(const SearchOptions& options) const;
 
   /// Renders the designer guideline for one feasible design (the §3.1
   /// bullet-list output: per-partition style, module library, allocation,
   /// registers, muxes, plus per-transfer-module predictions). The design
   /// is read from the list family its search indexed (GlobalDesign::prune);
-  /// an unpruned design throws chop::Error while a raw list is missing.
+  /// an unpruned design throws chop::Error where search() would.
   std::string guideline(const GlobalDesign& design) const;
 
  private:
@@ -140,12 +156,15 @@ class ChopSession {
 
   RawInputs raw_inputs(std::size_t p) const;
   EligibleInputs eligible_inputs(std::size_t p) const;
-  /// BAD's raw list for partition `p`.
-  std::vector<bad::DesignPrediction> run_bad(std::size_t p,
-                                             const bad::Predictor& predictor,
-                                             Cycles max_ii_dp) const;
-  /// Whether every partition holds its raw list.
-  bool raw_lists_held() const;
+  Level1Test level1_test(const EligibleInputs& eligible) const;
+  /// Runs BAD for partition `p` and stores its lists and raw count: the
+  /// raw list and its level-1 prune, or, pruned-only, the eligible list
+  /// from the bounded sweep.
+  void run_bad(std::size_t p, const bad::Predictor& predictor,
+               Cycles max_ii_dp, const EligibleInputs& eligible);
+  /// Whether an unpruned search or guideline may read the raw lists: the
+  /// session is not pruned-only and every partition holds its raw list.
+  bool raw_lists_usable() const;
 
   const lib::ComponentLibrary* library_;
   Partitioning partitioning_;
@@ -154,6 +173,7 @@ class ChopSession {
   bool predictions_valid_ = false;
   std::vector<PartitionPredictState> predict_cache_;
   PredictionMemo* memo_ = nullptr;
+  bool pruned_searches_only_ = false;
   /// Session-lifetime memo cache for integrate(); behind a pointer so the
   /// session stays movable (the cache holds mutexes), mutable because
   /// caching is invisible to the session's logical state (search() stays

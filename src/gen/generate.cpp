@@ -90,6 +90,8 @@ std::optional<core::ChopSession> make_session(
     pt.validate();
     core::ChopSession session(ctx.library, std::move(pt), ctx.config);
     session.set_prediction_memo(ctx.memo);
+    // Scoring searches are pruned, so level 1 can run inside BAD's sweep.
+    session.set_pruned_searches_only(ctx.search.prune);
     return session;
   } catch (const Error&) {
     return std::nullopt;

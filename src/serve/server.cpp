@@ -190,6 +190,9 @@ void ChopServer::run_job(const std::shared_ptr<Job>& job) {
       return;
     }
     core::ChopSession session = job->project.make_session();
+    // Only a keep-all job searches the raw lists; every other job lets
+    // level 1 run inside BAD's sweep and never holds them.
+    session.set_pruned_searches_only(!job->options.keep_all);
     core::PredictionStats stats;
     {
       obs::ScopedPhase predict_phase(&job->profile,

@@ -16,6 +16,7 @@
 #include "exact/solver.hpp"
 #include "gen/generate.hpp"
 #include "io/spec_writer.hpp"
+#include "obs/metrics.hpp"
 #include "obs/observer.hpp"
 #include "serve/protocol.hpp"
 #include "testing/properties.hpp"
@@ -248,8 +249,59 @@ ScenarioReport run_oracles(const io::Project& project,
           {"spec_roundtrip", "write(parse(write(p))) != write(p)"});
     }
 
+    obs::Counter& schedules =
+        obs::MetricsRegistry::global().counter("bad.schedules");
     ChopSession session = project.make_session();
-    session.predict_partitions();
+    std::uint64_t schedules_before = schedules.value();
+    const core::PredictionStats stats = session.predict_partitions();
+    const std::uint64_t full_schedules = schedules.value() - schedules_before;
+
+    // --- Oracle: level 1 inside BAD's sweep ----------------------------
+    // A pruned-only session builds only the predictions level 1 could
+    // keep; its eligible lists, totals and schedule count must equal the
+    // default session's, which prunes the full raw lists.
+    {
+      ChopSession pruned_only = project.make_session();
+      pruned_only.set_pruned_searches_only(true);
+      schedules_before = schedules.value();
+      const core::PredictionStats bounded_stats =
+          pruned_only.predict_partitions();
+      const std::uint64_t bounded_schedules =
+          schedules.value() - schedules_before;
+      if (bounded_stats.total != stats.total ||
+          bounded_stats.feasible != stats.feasible) {
+        report.failures.push_back(
+            {"bounded_sweep", "total/feasible " +
+                                  std::to_string(bounded_stats.total) + "/" +
+                                  std::to_string(bounded_stats.feasible) +
+                                  " != " + std::to_string(stats.total) + "/" +
+                                  std::to_string(stats.feasible)});
+      }
+      if (bounded_schedules != full_schedules) {
+        report.failures.push_back(
+            {"bounded_sweep", "schedules " +
+                                  std::to_string(bounded_schedules) +
+                                  " != " + std::to_string(full_schedules)});
+      }
+      const auto& want = session.predictions().eligible;
+      const auto& got = pruned_only.predictions().eligible;
+      for (std::size_t p = 0; p < want.size(); ++p) {
+        if (got[p] == want[p]) continue;
+        std::size_t i = 0;
+        while (i < got[p].size() && i < want[p].size() &&
+               got[p][i] == want[p][i]) {
+          ++i;
+        }
+        report.failures.push_back(
+            {"bounded_sweep", "partition " + std::to_string(p) +
+                                  ": eligible lists of " +
+                                  std::to_string(got[p].size()) + " and " +
+                                  std::to_string(want[p].size()) +
+                                  " predictions differ at " +
+                                  std::to_string(i)});
+      }
+    }
+
     report.eligible_product = sat_product(session.predictions().eligible);
     report.raw_product = sat_product(session.predictions().raw);
     if (report.eligible_product > limits.max_eligible_product) {

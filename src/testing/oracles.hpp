@@ -5,6 +5,9 @@
 // REQUIRED to agree, or an invariant that must hold of any single run:
 //
 //  spec_roundtrip     write -> parse -> write is byte-stable
+//  bounded_sweep      a pruned-only session (level 1 inside BAD's sweep)
+//                     predicts the default session's eligible lists,
+//                     totals and schedule count exactly
 //  bound_pruning      branch-and-bound E == exhaustive E (design set), and
 //                     trials + bound_skipped_leaves == product of lists
 //  thread_determinism E at 1/2/4/8 threads: identical designs, counters,

@@ -501,6 +501,34 @@ TEST(SearchMetrics, GlobalCountersTrackSearch) {
   EXPECT_GT(snap.histograms.at("session.predict_ms").sum, 0.0);
 }
 
+TEST(SearchMetrics, GlobalCountersTrackBoundedSearch) {
+  // The same accounting when level 1 runs inside BAD's sweep: a point the
+  // sweep skips still counts as raw and as one level-1 drop.
+  obs::MetricsRegistry::global().reset();
+  core::ChopSession session = small_session();
+  session.set_pruned_searches_only(true);
+  const core::PredictionStats stats = session.predict_partitions();
+  core::SearchOptions options;
+  options.heuristic = core::Heuristic::Enumeration;
+  const core::SearchResult result = session.search(options);
+
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
+  EXPECT_EQ(snap.counters.at("search.trials"), result.trials);
+  EXPECT_EQ(snap.counters.at("search.feasible"), result.feasible_raw);
+  EXPECT_EQ(snap.counters.at("search.pruned_infeasible") +
+                snap.counters.at("search.pruned_pareto"),
+            stats.total - stats.feasible);
+  EXPECT_EQ(snap.counters.at("bad.predictions_raw"), stats.total);
+  EXPECT_EQ(snap.counters.at("bad.predictions_eligible"), stats.feasible);
+  EXPECT_EQ(snap.counters.at("bad.predictions_built") +
+                snap.counters.at("bad.skipped_bound") +
+                snap.counters.at("bad.skipped_dominated"),
+            stats.total);
+  EXPECT_LT(snap.counters.at("bad.predictions_built"), stats.total);
+  EXPECT_GE(snap.counters.at("bad.predictions_built"), stats.feasible);
+  EXPECT_EQ(snap.histograms.at("session.predict_ms").count, 1u);
+}
+
 TEST(ProgressPrinter, PrintsThrottledAndFinal) {
   std::ostringstream os;
   obs::ProgressPrinter printer(os, 2);

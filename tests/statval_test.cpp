@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "testing/properties.hpp"
 #include "util/rng.hpp"
@@ -236,6 +239,131 @@ TEST(StatValProperty, SumsCloseUnderTheAlgebra) {
     acc += random_triplet(rng);
     EXPECT_LE(acc.lo(), acc.likely());
     EXPECT_LE(acc.likely(), acc.hi());
+  }
+}
+
+// ---- monotonicity in the triangle: the premise of level 1 inside BAD's
+// ---- sweep, which tests lower bounds of a point's area triangle (t) in
+// ---- place of the triangle it would build (t' >= t componentwise).
+
+/// `t` moved up componentwise: each component by zero, a few ulps, or a
+/// real step, re-ordered so the result is a valid triplet >= t.
+StatVal moved_up(Rng& rng, const StatVal& t) {
+  double c[3] = {t.lo(), t.likely(), t.hi()};
+  for (double& v : c) {
+    switch (rng.uniform(0, 3)) {
+      case 0:
+        break;
+      case 1:
+        for (std::int64_t k = rng.uniform(1, 3); k > 0; --k) {
+          v = std::nextafter(v, HUGE_VAL);
+        }
+        break;
+      case 2:
+        v += rng.uniform01() * 1e-6;
+        break;
+      default:
+        v += rng.uniform01() * 40.0;
+    }
+  }
+  c[1] = std::max(c[0], c[1]);
+  c[2] = std::max(c[1], c[2]);
+  return StatVal(c[0], c[1], c[2]);
+}
+
+/// Limits at, beside and between every component of both triangles.
+std::vector<double> limits_around(Rng& rng, const StatVal& t,
+                                  const StatVal& u) {
+  std::vector<double> out;
+  for (const double v :
+       {t.lo(), t.likely(), t.hi(), u.lo(), u.likely(), u.hi()}) {
+    out.push_back(v);
+    out.push_back(std::nextafter(v, -HUGE_VAL));
+    out.push_back(std::nextafter(v, HUGE_VAL));
+  }
+  out.push_back(t.lo() - 1.0);
+  out.push_back(u.hi() + 1.0);
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(t.lo() + rng.uniform01() * (u.hi() - t.lo()));
+  }
+  return out;
+}
+
+bool satisfies(const StatVal& v, double limit, double prob) {
+  return triangular_satisfies(v.lo(), v.likely(), v.hi(), limit, prob);
+}
+
+TEST(StatValProperty, SatisfiesMonotoneInTheTriangle) {
+  // Exact in floating point for p = 1 (hi <= limit), for a point mass t
+  // (lo == hi: it passes every limit at or above lo, and t' cannot pass a
+  // limit below its own lo), and for limits at or outside the support
+  // edges, with any probability, including one equal to t''s own CDF.
+  Rng rng(4099);
+  std::size_t checked = 0;
+  for (int i = 0; i < 3000; ++i) {
+    StatVal t = random_triplet(rng);
+    if (rng.chance(0.25)) t = StatVal(t.lo());  // point mass
+    const StatVal u = moved_up(rng, t);
+    ASSERT_TRUE(t.lo() <= u.lo() && t.likely() <= u.likely() &&
+                t.hi() <= u.hi());
+    for (const double limit : limits_around(rng, t, u)) {
+      const bool edge = limit <= u.lo() || limit >= t.hi();
+      std::vector<double> probs = {1.0};
+      if (t.exact() || edge) {
+        probs.insert(probs.end(), {1e-12, 0.3, 0.8, rng.uniform01()});
+        const double at = triangular_cdf(u.lo(), u.likely(), u.hi(), limit);
+        if (at > 0.0) probs.push_back(at);
+      }
+      for (const double prob : probs) {
+        ++checked;
+        if (satisfies(u, limit, prob)) {
+          EXPECT_TRUE(satisfies(t, limit, prob))
+              << "t=" << t << " t'=" << u << " limit " << limit << " prob "
+              << prob;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 100000u);
+}
+
+TEST(StatValProperty, SatisfiesMonotoneInSeparatedTriangles) {
+  // Interior limits with p < 1: exact arithmetic gives the implication for
+  // any t <= t', and it survives rounding once t' sits above t by a real
+  // margin in every component — as a built area triangle sits above the
+  // sweep's lower bound by at least the controller's area.
+  Rng rng(8191);
+  for (int i = 0; i < 20000; ++i) {
+    const StatVal t = random_triplet(rng);
+    const double margin = 1e-6 * std::max(1.0, std::fabs(t.hi()) + 40.0);
+    double c[3];
+    c[0] = t.lo() + margin * (1.0 + rng.uniform01() * 1e6);
+    c[1] = std::max(c[0], t.likely() + margin * (1.0 + rng.uniform01() * 1e6));
+    c[2] = std::max(c[1], t.hi() + margin * (1.0 + rng.uniform01() * 1e6));
+    const StatVal u(c[0], c[1], c[2]);
+    const double limit = u.lo() + rng.uniform01() * (t.hi() - u.lo());
+    const double at = triangular_cdf(u.lo(), u.likely(), u.hi(), limit);
+    for (const double prob : {0.1, 0.5, 0.8, 0.95, rng.uniform01(), at}) {
+      if (prob <= 0.0 || !satisfies(u, limit, prob)) continue;
+      EXPECT_TRUE(satisfies(t, limit, prob))
+          << "t=" << t << " t'=" << u << " limit " << limit << " prob "
+          << prob;
+    }
+  }
+}
+
+TEST(StatValProperty, CdfMonotoneInTheTriangleUpToRounding) {
+  // Without a margin, rounding can invert the computed CDFs of two
+  // triangles a few ulps apart at an interior limit — by a few ulps of the
+  // CDF, never more. (This is why the sweep's bound relies on a margin.)
+  Rng rng(131071);
+  for (int i = 0; i < 20000; ++i) {
+    const StatVal t = random_triplet(rng);
+    const StatVal u = moved_up(rng, t);
+    const double limit = t.lo() + rng.uniform01() * (u.hi() - t.lo());
+    EXPECT_GE(triangular_cdf(t.lo(), t.likely(), t.hi(), limit),
+              triangular_cdf(u.lo(), u.likely(), u.hi(), limit) - 4e-15)
+        << "t=" << t << " t'=" << u << " limit " << limit;
   }
 }
 
