@@ -44,7 +44,7 @@ void BM_bad_prediction_pass(benchmark::State& state) {
 }
 BENCHMARK(BM_bad_prediction_pass)->Arg(1)->Arg(2)->Arg(3);
 
-/// Scaling of one BAD sweep with partition size: one Predictor::predict on
+/// Scaling of one BAD sweep with partition size: one bad::predict on
 /// an n-op random layered DAG (depth n/50) with the experiment library,
 /// single-cycle on the 10x datapath clock, every II up to the stage count.
 /// `time_per_schedule` is wall time per list or modulo schedule run, in
@@ -59,14 +59,13 @@ void BM_predict_random_dag(benchmark::State& state) {
   bad::PredictionRequest req;
   req.graph = &bg.graph;
   req.library = &bench::experiment_library();
-  req.style.clocking = bad::ClockingStyle::SingleCycle;
-  req.clocks = {300.0, 10, 1};
-  const bad::Predictor predictor;
+  req.env.style.clocking = bad::ClockingStyle::SingleCycle;
+  req.env.clocks = {300.0, 10, 1};
   const obs::Counter& schedules =
       obs::MetricsRegistry::global().counter("bad.schedules");
   const std::uint64_t before = schedules.value();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(predictor.predict(req));
+    benchmark::DoNotOptimize(bad::predict(req));
   }
   const auto total = static_cast<double>(schedules.value() - before);
   state.counters["schedules"] =

@@ -65,7 +65,7 @@ struct DesignPrediction {
 
 /// The fields of a prediction that CHOP's level-1 pruning reads (paper
 /// §2.1). A filtered sweep also fills them with lower bounds of a point
-/// it has scheduled but not yet built (Predictor::predict).
+/// it has scheduled but not yet built (bad::predict).
 struct Level1Fields {
   StatVal total_area;
   Ns clock_overhead_ns = 0.0;

@@ -124,7 +124,7 @@ DesignPrediction make_prediction(const PredictionRequest& req,
                                           library, *facts.ops);
   // Scan-design overheads (§5): heavier registers, a scan mux on the
   // register setup path, a fatter controller.
-  const TestabilityOptions& test = req.testability;
+  const TestabilityOptions& test = req.env.testability;
   if (test.scan_design) {
     dp.register_area = dp.register_area * test.register_area_factor;
     dp.steering_delay += test.register_delay_penalty_ns;
@@ -158,7 +158,7 @@ DesignPrediction make_prediction(const PredictionRequest& req,
       tech.wiring_delay_fraction.likely() * (dp.steering_delay + pla.delay);
   const Ns dp_overhead = dp.steering_delay + pla.delay + wiring_delay;
   p.clock_overhead_ns =
-      dp_overhead / static_cast<double>(req.clocks.datapath_multiplier);
+      dp_overhead / static_cast<double>(req.env.clocks.datapath_multiplier);
 
   const AreaMil2 support_area = p.register_area.likely() +
                                 p.mux_area.likely() +
@@ -220,33 +220,16 @@ class AdmittedFront {
   std::vector<Entry> entries_[2];
 };
 
-}  // namespace
-
-Predictor::Predictor(PredictorOptions options) : options_(std::move(options)) {
-  CHOP_REQUIRE(!options_.unit_sweep.empty(),
-               "predictor unit sweep must not be empty");
-  for (int v : options_.unit_sweep) {
-    CHOP_REQUIRE(v >= 1, "unit sweep entries must be positive");
-  }
-}
-
-std::vector<DesignPrediction> Predictor::predict(
-    const PredictionRequest& req) const {
-  return sweep(req, nullptr).admitted;
-}
-
-FilteredPredictions Predictor::predict(const PredictionRequest& req,
-                                       const Level1Filter& level1) const {
-  return sweep(req, &level1);
-}
-
-FilteredPredictions Predictor::sweep(const PredictionRequest& req,
-                                     const Level1Filter* level1) const {
+/// The sweep behind both predict() overloads: every point when `level1`
+/// is null, else only the points level 1 could keep.
+FilteredPredictions sweep(const PredictionRequest& req,
+                          const Level1Filter* level1) {
   obs::TraceSpan span("bad.predict");
   CHOP_REQUIRE(req.graph != nullptr, "prediction request needs a graph");
   CHOP_REQUIRE(req.library != nullptr, "prediction request needs a library");
-  req.clocks.validate();
-  req.testability.validate();
+  const PredictEnv& env = req.env;
+  env.clocks.validate();
+  env.testability.validate();
   req.graph->validate();
 
   const dfg::Graph& g = *req.graph;
@@ -275,14 +258,17 @@ FilteredPredictions Predictor::sweep(const PredictionRequest& req,
 
   FilteredPredictions out;
   AdmittedFront front;
+  // Only the unit counts change per allocation.
+  sched::ResourceLimits limits;
+  limits.memory_ports = env.memory_ports;
   const OpProfile ops = op_profile(g);
   const std::map<int, int> memory_accesses = memory_profile(g);
 
   for (const lib::ModuleSet& set :
        lib::enumerate_module_sets(*req.library, kinds)) {
     const auto latency_opt =
-        operation_latencies(g, set, req.style.clocking, req.clocks,
-                            eligibility_overhead, req.memory_access_time);
+        operation_latencies(g, set, env.style.clocking, env.clocks,
+                            eligibility_overhead, env.memory_access_time);
     if (!latency_opt) continue;  // single-cycle: module set does not fit
     module_sets.add();
     const std::vector<Cycles>& latency = *latency_opt;
@@ -294,7 +280,7 @@ FilteredPredictions Predictor::sweep(const PredictionRequest& req,
     std::vector<std::map<dfg::OpKind, int>> allocs{{}};
     for (dfg::OpKind kind : kinds) {
       std::vector<int> counts;
-      for (int v : options_.unit_sweep) {
+      for (int v : kUnitSweep) {
         if (v <= ops_of_kind[kind]) counts.push_back(v);
       }
       if (counts.empty()) counts.push_back(ops_of_kind[kind]);
@@ -338,29 +324,27 @@ FilteredPredictions Predictor::sweep(const PredictionRequest& req,
         out.admitted.push_back(std::move(p));
       };
 
-      sched::ResourceLimits limits;
       limits.fu = alloc;
-      limits.memory_ports = req.memory_ports;
 
       const sched::OpSchedule& nonpipe = plan.list_schedule(limits);
       schedules.add();
       CHOP_ASSERT(nonpipe.feasible, "nonpipelined list schedule cannot fail");
       const PointTiming nonpipe_timing =
-          point_timing(nonpipe, DesignStyle::Nonpipelined, req.clocks);
+          point_timing(nonpipe, DesignStyle::Nonpipelined, env.clocks);
       visit(nonpipe, DesignStyle::Nonpipelined, nonpipe_timing);
       const Cycles stages = nonpipe_timing.stages;
 
-      if (!req.style.allow_pipelining || stages <= 1) continue;
+      if (!env.style.allow_pipelining || stages <= 1) continue;
       const Cycles min_ii =
           std::max<Cycles>(1, plan.min_initiation_interval(limits));
       Cycles ii_cap = stages - 1;
-      if (req.max_ii_dp > 0) ii_cap = std::min(ii_cap, req.max_ii_dp);
+      if (env.max_ii_dp > 0) ii_cap = std::min(ii_cap, env.max_ii_dp);
       for (Cycles ii = min_ii; ii <= ii_cap; ++ii) {
         const sched::OpSchedule& pipe = plan.pipeline_schedule(limits, ii);
         schedules.add();
         if (!pipe.feasible) continue;
         visit(pipe, DesignStyle::Pipelined,
-              point_timing(pipe, DesignStyle::Pipelined, req.clocks));
+              point_timing(pipe, DesignStyle::Pipelined, env.clocks));
       }
     }
   }
@@ -381,6 +365,17 @@ FilteredPredictions Predictor::sweep(const PredictionRequest& req,
   span.arg("skipped_bound", out.skipped_bound);
   span.arg("skipped_dominated", out.skipped_dominated);
   return out;
+}
+
+}  // namespace
+
+std::vector<DesignPrediction> predict(const PredictionRequest& req) {
+  return sweep(req, nullptr).admitted;
+}
+
+FilteredPredictions predict(const PredictionRequest& req,
+                            const Level1Filter& level1) {
+  return sweep(req, &level1);
 }
 
 }  // namespace chop::bad

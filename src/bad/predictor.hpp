@@ -8,8 +8,15 @@
 // multiplexers, PLA controller, wiring, clock-cycle overhead and memory
 // access profile. The output is the list of predicted designs CHOP's
 // global search selects from.
+//
+// A request is the graph, the component library and one PredictEnv, the
+// experiment configuration as a single value. ChopSession builds the env
+// once per prediction pass and keys its staleness checks and the
+// PredictionMemo on it, so those keys compare exactly the value BAD is
+// handed.
 #pragma once
 
+#include <array>
 #include <map>
 #include <vector>
 
@@ -21,18 +28,14 @@
 
 namespace chop::bad {
 
-/// Everything BAD needs to predict one partition.
-struct PredictionRequest {
-  const dfg::Graph* graph = nullptr;
-  const lib::ComponentLibrary* library = nullptr;
+/// The experiment configuration one partition is predicted under: the
+/// paper's §2.2 input group 6 (style, clocks), §3.2's pipelined-II cap,
+/// the §5 testability options and the memory blocks' ports and access
+/// times. Everything a prediction depends on besides the graph and the
+/// library, so two equal environments predict a graph identically.
+struct PredictEnv {
   ArchitectureStyle style;
   ClockSpec clocks;
-
-  /// Ports available per memory block the partition accesses (missing
-  /// blocks are unconstrained).
-  std::map<int, int> memory_ports;
-  /// Access time per block id (indexed; missing -> one datapath cycle).
-  std::vector<Ns> memory_access_time;
 
   /// Cap on enumerated pipelined initiation intervals, in datapath cycles
   /// (0 = up to the nonpipelined stage count). CHOP derives this from the
@@ -42,14 +45,26 @@ struct PredictionRequest {
 
   /// Scan-design overheads (§5 extension); disabled by default.
   TestabilityOptions testability;
+
+  /// Ports available per memory block the partition accesses (missing
+  /// blocks are unconstrained).
+  std::map<int, int> memory_ports;
+  /// Access time per block id (indexed; missing -> one datapath cycle).
+  std::vector<Ns> memory_access_time;
+
+  bool operator==(const PredictEnv&) const = default;
 };
 
-/// Knobs of the sweep itself.
-struct PredictorOptions {
-  /// Candidate functional-unit counts per operation kind; values above the
-  /// kind's operation count are skipped.
-  std::vector<int> unit_sweep = {1, 2, 3, 4, 6, 8, 12, 16};
+/// Everything BAD needs to predict one partition.
+struct PredictionRequest {
+  const dfg::Graph* graph = nullptr;
+  const lib::ComponentLibrary* library = nullptr;
+  PredictEnv env;
 };
+
+/// Candidate functional-unit counts per operation kind; values above the
+/// kind's operation count are skipped.
+inline constexpr std::array<int, 8> kUnitSweep = {1, 2, 3, 4, 6, 8, 12, 16};
 
 /// A per-point level-1 test the sweep consults (CHOP's is
 /// core::Level1Test). It must be monotone: a point it admits makes it
@@ -83,29 +98,17 @@ struct FilteredPredictions {
   }
 };
 
-/// The predictor. Stateless apart from options; predict() is const and
-/// thread-compatible.
-class Predictor {
- public:
-  explicit Predictor(PredictorOptions options = {});
+/// Sweeps the design space for `request` and returns every predicted
+/// design (CHOP prunes infeasible/inferior ones — Table 3/5 count these raw
+/// totals). Throws chop::Error when the request is malformed or the library
+/// cannot cover the graph. Stateless; safe to call from several threads
+/// at once.
+std::vector<DesignPrediction> predict(const PredictionRequest& request);
 
-  /// Sweeps the design space for `request` and returns every predicted
-  /// design (CHOP prunes infeasible/inferior ones — Table 3/5 count these
-  /// raw totals). Throws chop::Error when the request is malformed or the
-  /// library cannot cover the graph.
-  std::vector<DesignPrediction> predict(const PredictionRequest& request) const;
-
-  /// The same sweep with level 1 inside it: every schedule still runs,
-  /// but a point is built only when it could survive `level1` and the
-  /// Pareto filter (docs/ARCHITECTURE.md, "Level 1 in the sweep").
-  FilteredPredictions predict(const PredictionRequest& request,
-                              const Level1Filter& level1) const;
-
- private:
-  FilteredPredictions sweep(const PredictionRequest& request,
-                            const Level1Filter* level1) const;
-
-  PredictorOptions options_;
-};
+/// The same sweep with level 1 inside it: every schedule still runs, but a
+/// point is built only when it could survive `level1` and the Pareto
+/// filter (docs/ARCHITECTURE.md, "Level 1 in the sweep").
+FilteredPredictions predict(const PredictionRequest& request,
+                            const Level1Filter& level1);
 
 }  // namespace chop::bad

@@ -39,6 +39,8 @@ inline const char* to_string(ClockingStyle s) {
 struct ArchitectureStyle {
   ClockingStyle clocking = ClockingStyle::SingleCycle;
   bool allow_pipelining = true;
+
+  bool operator==(const ArchitectureStyle&) const = default;
 };
 
 /// The synchronous clock family: datapath and transfer clocks are integer
@@ -60,6 +62,8 @@ struct ClockSpec {
     CHOP_REQUIRE(datapath_multiplier >= 1 && transfer_multiplier >= 1,
                  "clock multipliers must be positive integers");
   }
+
+  bool operator==(const ClockSpec&) const = default;
 };
 
 }  // namespace chop::bad

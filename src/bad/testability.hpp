@@ -38,6 +38,8 @@ struct TestabilityOptions {
     CHOP_REQUIRE(test_pins_per_chip >= 0,
                  "test pin reserve cannot be negative");
   }
+
+  bool operator==(const TestabilityOptions&) const = default;
 };
 
 }  // namespace chop::bad

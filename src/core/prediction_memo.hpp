@@ -9,12 +9,11 @@
 // session with a memo attached looks each stale partition up here before
 // running BAD, and stores what it computes on a miss.
 //
-// Key. The partition's RawInputs (members, clocking, pipelined-II cap,
-// testability, unit sweep, memory ports and access times) plus its
-// EligibleInputs (usable chip area, constraints, criteria), compared in
-// full with their defaulted operator==. A 64-bit digest of the members
-// and the usable area only skips entries that cannot match; no hit rests
-// on it.
+// Key. The partition's RawInputs (its members and the session's
+// bad::PredictEnv) plus its EligibleInputs (usable chip area, constraints,
+// criteria), compared in full with their defaulted operator==. A 64-bit
+// digest of the members and the usable area only skips entries that
+// cannot match; no hit rests on it.
 //
 // Lifetime. The key leaves out the specification graph and the component
 // library, so one memo must serve sessions over one graph and one library
@@ -44,33 +43,20 @@
 #include <vector>
 
 #include "bad/prediction.hpp"
-#include "bad/style.hpp"
+#include "bad/predictor.hpp"
 #include "core/constraints.hpp"
 #include "dfg/graph.hpp"
 #include "util/units.hpp"
 
 namespace chop::core {
 
-/// The exact values one partition's raw BAD list is built from: its
-/// members, the clocking environment, the pipelined-II cap, the
-/// testability options, the predictor's unit sweep and the memory
-/// blocks' ports and access times (not where the blocks sit).
+/// The exact values one partition's raw BAD list is built from besides
+/// the graph and the library: its members and the prediction environment
+/// (style, clocks, pipelined-II cap, testability, and the memory blocks'
+/// ports and access times, not where the blocks sit).
 struct RawInputs {
   std::vector<dfg::NodeId> members;
-  bad::ClockingStyle clocking = bad::ClockingStyle::SingleCycle;
-  bool allow_pipelining = false;
-  Ns main_clock = 0.0;
-  int datapath_multiplier = 0;
-  int transfer_multiplier = 0;
-  Cycles max_ii_dp = 0;
-  bool scan_design = false;
-  double register_area_factor = 0.0;
-  Ns register_delay_penalty_ns = 0.0;
-  double controller_area_factor = 0.0;
-  Pins test_pins_per_chip = 0;
-  std::vector<int> unit_sweep;
-  std::vector<int> memory_ports;
-  std::vector<Ns> memory_access_times;
+  bad::PredictEnv env;
 
   bool operator==(const RawInputs&) const = default;
 };

@@ -95,19 +95,9 @@ std::vector<bad::DesignPrediction> prune_level1(
   return kept;
 }
 
-std::vector<bad::DesignPrediction> prune_level1(
-    std::vector<bad::DesignPrediction> predictions, AreaMil2 chip_usable_area,
-    const bad::ClockSpec& clocks, const DesignConstraints& constraints,
-    const FeasibilityCriteria& criteria) {
-  return prune_level1(std::move(predictions),
-                      Level1Test(chip_usable_area, clocks, constraints,
-                                 criteria));
-}
-
-Level1Prediction predict_level1(const bad::Predictor& predictor,
-                                const bad::PredictionRequest& request,
+Level1Prediction predict_level1(const bad::PredictionRequest& request,
                                 const Level1Test& level1) {
-  bad::FilteredPredictions sweep = predictor.predict(request, level1);
+  bad::FilteredPredictions sweep = bad::predict(request, level1);
   const std::size_t built = sweep.built();
   const std::size_t admitted = sweep.admitted.size();
   Level1Prediction out;

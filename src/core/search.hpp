@@ -188,24 +188,17 @@ class Level1Test final : public bad::Level1Filter {
 std::vector<bad::DesignPrediction> prune_level1(
     std::vector<bad::DesignPrediction> predictions, const Level1Test& level1);
 
-/// The same, building the test from its inputs.
-std::vector<bad::DesignPrediction> prune_level1(
-    std::vector<bad::DesignPrediction> predictions, AreaMil2 chip_usable_area,
-    const bad::ClockSpec& clocks, const DesignConstraints& constraints,
-    const FeasibilityCriteria& criteria);
-
 /// One partition's level-1 list built inside BAD's sweep.
 struct Level1Prediction {
   std::vector<bad::DesignPrediction> eligible;
-  std::size_t raw_count = 0;  ///< Size of predictor.predict(request).
+  std::size_t raw_count = 0;  ///< Size of bad::predict(request).
 };
 
-/// prune_level1(predictor.predict(request), level1), byte for byte, from a
+/// prune_level1(bad::predict(request), level1), byte for byte, from a
 /// sweep that builds only the points level 1 could keep and never holds
 /// the raw list. The drop counters still sum to raw_count minus the
 /// eligible count; a point skipped as dominated counts as a Pareto drop.
-Level1Prediction predict_level1(const bad::Predictor& predictor,
-                                const bad::PredictionRequest& request,
+Level1Prediction predict_level1(const bad::PredictionRequest& request,
                                 const Level1Test& level1);
 
 /// Runs the selected heuristic over `pred` (uses `eligible` when

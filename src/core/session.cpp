@@ -11,16 +11,6 @@
 
 namespace chop::core {
 
-namespace {
-
-Cycles max_ii_dp_for(const ChopConfig& config) {
-  const Cycles max_ii_main = static_cast<Cycles>(
-      config.constraints.performance_ns / config.clocks.main_clock);
-  return std::max<Cycles>(1, max_ii_main / config.clocks.datapath_multiplier);
-}
-
-}  // namespace
-
 ChopSession::ChopSession(const lib::ComponentLibrary& library,
                          Partitioning partitioning, ChopConfig config)
     : library_(&library),
@@ -38,26 +28,22 @@ ChopSession::ChopSession(const lib::ComponentLibrary& library,
   predict_cache_.resize(nparts);
 }
 
-RawInputs ChopSession::raw_inputs(std::size_t p) const {
-  RawInputs in;
-  in.members = partitioning_.partitions()[p].members;
-  in.clocking = config_.style.clocking;
-  in.allow_pipelining = config_.style.allow_pipelining;
-  in.main_clock = config_.clocks.main_clock;
-  in.datapath_multiplier = config_.clocks.datapath_multiplier;
-  in.transfer_multiplier = config_.clocks.transfer_multiplier;
-  in.max_ii_dp = max_ii_dp_for(config_);
-  in.scan_design = config_.testability.scan_design;
-  in.register_area_factor = config_.testability.register_area_factor;
-  in.register_delay_penalty_ns = config_.testability.register_delay_penalty_ns;
-  in.controller_area_factor = config_.testability.controller_area_factor;
-  in.test_pins_per_chip = config_.testability.test_pins_per_chip;
-  in.unit_sweep = config_.predictor.unit_sweep;
-  for (const auto& block : partitioning_.memory().blocks) {
-    in.memory_ports.push_back(block.ports);
-    in.memory_access_times.push_back(block.access_time);
+bad::PredictEnv ChopSession::predict_env() const {
+  bad::PredictEnv env;
+  env.style = config_.style;
+  env.clocks = config_.clocks;
+  // Cap pipelined II enumeration from the performance budget (§3.2).
+  const Cycles max_ii_main = static_cast<Cycles>(
+      config_.constraints.performance_ns / config_.clocks.main_clock);
+  env.max_ii_dp =
+      std::max<Cycles>(1, max_ii_main / config_.clocks.datapath_multiplier);
+  env.testability = config_.testability;
+  const auto& blocks = partitioning_.memory().blocks;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    env.memory_ports[static_cast<int>(b)] = blocks[b].ports;
+    env.memory_access_time.push_back(blocks[b].access_time);
   }
-  return in;
+  return env;
 }
 
 EligibleInputs ChopSession::eligible_inputs(std::size_t p) const {
@@ -79,37 +65,23 @@ Level1Test ChopSession::level1_test(const EligibleInputs& eligible) const {
                     eligible.criteria);
 }
 
-void ChopSession::run_bad(std::size_t p, const bad::Predictor& predictor,
-                          Cycles max_ii_dp, const EligibleInputs& eligible) {
+void ChopSession::run_bad(std::size_t p, const bad::PredictEnv& env,
+                          const EligibleInputs& eligible) {
   obs::TraceSpan partition_span("session.predict.partition");
   partition_span.arg("partition", partitioning_.partitions()[p].name);
   const dfg::Subgraph sub = partitioning_.subgraph(static_cast<int>(p));
-
-  bad::PredictionRequest request;
-  request.graph = &sub.graph;
-  request.library = library_;
-  request.style = config_.style;
-  request.clocks = config_.clocks;
-  // Cap pipelined II enumeration from the performance budget (§3.2).
-  request.max_ii_dp = max_ii_dp;
-  request.testability = config_.testability;
-  for (std::size_t b = 0; b < partitioning_.memory().blocks.size(); ++b) {
-    request.memory_ports[static_cast<int>(b)] =
-        partitioning_.memory().blocks[b].ports;
-    request.memory_access_time.push_back(
-        partitioning_.memory().blocks[b].access_time);
-  }
+  const bad::PredictionRequest request{&sub.graph, library_, env};
 
   PartitionPredictState& state = predict_cache_[p];
   const Level1Test level1 = level1_test(eligible);
   if (pruned_searches_only_) {
-    Level1Prediction bounded = predict_level1(predictor, request, level1);
+    Level1Prediction bounded = predict_level1(request, level1);
     predictions_.raw[p] = {};
     predictions_.eligible[p] = std::move(bounded.eligible);
     state.raw_count = bounded.raw_count;
     state.raw_held = false;
   } else {
-    predictions_.raw[p] = predictor.predict(request);
+    predictions_.raw[p] = bad::predict(request);
     predictions_.eligible[p] = prune_level1(predictions_.raw[p], level1);
     state.raw_count = predictions_.raw[p].size();
     state.raw_held = true;
@@ -128,11 +100,11 @@ PredictionStats ChopSession::predict_partitions() {
   static obs::Counter& recomputed_counter =
       obs::MetricsRegistry::global().counter("eval.delta_predict_recomputed");
 
-  bad::Predictor predictor(config_.predictor);
+  const bad::PredictEnv env = predict_env();
   PredictionStats stats;
   for (std::size_t p = 0; p < partitions.size(); ++p) {
     PartitionPredictState& state = predict_cache_[p];
-    RawInputs raw = raw_inputs(p);
+    RawInputs raw{partitions[p].members, env};
     EligibleInputs eligible = eligible_inputs(p);
     const bool raw_same = state.valid && state.raw == raw;
     const bool eligible_same = raw_same && state.eligible == eligible;
@@ -157,7 +129,7 @@ PredictionStats ChopSession::predict_partitions() {
       state.raw = std::move(raw);
       state.eligible = std::move(eligible);
     } else {
-      run_bad(p, predictor, raw.max_ii_dp, eligible);
+      run_bad(p, raw.env, eligible);
       recomputed_counter.add();
       if (memo_ != nullptr) {
         memo_->insert(raw, eligible,

@@ -5,7 +5,10 @@
 //
 // One drive path: apply(EvalDelta) is the only mutator, the §2.7 edit as
 // data. predict_partitions() then decides what the edit made stale, by
-// exact comparison: it re-runs BAD only for partitions whose raw inputs
+// exact comparison. Each pass builds one bad::PredictEnv from the config
+// and the memory blocks (style, clocks, pipelined-II cap, testability,
+// ports, access times); a partition's raw inputs are its members plus
+// that env. The pass re-runs BAD only for partitions whose raw inputs
 // differ from the values their stored list was built from, and re-prunes
 // only lists whose pruning inputs differ. search() runs over the stored
 // lists on the session's memoizing evaluator. The result is
@@ -48,7 +51,6 @@ struct ChopConfig {
   bad::ClockSpec clocks;
   DesignConstraints constraints;
   FeasibilityCriteria criteria;
-  bad::PredictorOptions predictor;
   bad::TestabilityOptions testability;
 };
 
@@ -154,14 +156,15 @@ class ChopSession {
     bool valid = false;
   };
 
-  RawInputs raw_inputs(std::size_t p) const;
+  /// The prediction environment of the current config and memory blocks.
+  bad::PredictEnv predict_env() const;
   EligibleInputs eligible_inputs(std::size_t p) const;
   Level1Test level1_test(const EligibleInputs& eligible) const;
   /// Runs BAD for partition `p` and stores its lists and raw count: the
   /// raw list and its level-1 prune, or, pruned-only, the eligible list
   /// from the bounded sweep.
-  void run_bad(std::size_t p, const bad::Predictor& predictor,
-               Cycles max_ii_dp, const EligibleInputs& eligible);
+  void run_bad(std::size_t p, const bad::PredictEnv& env,
+               const EligibleInputs& eligible);
   /// Whether an unpruned search or guideline may read the raw lists: the
   /// session is not pruned-only and every partition holds its raw list.
   bool raw_lists_usable() const;

@@ -67,8 +67,7 @@ struct OpSchedule {
 /// allocates nothing once the buffers have grown. A schedule returned by
 /// reference is therefore valid only until the plan's next schedule, and
 /// one plan must not schedule on two threads at once. The scratch takes no
-/// lock: Predictor::predict builds each plan locally and uses it on one
-/// thread.
+/// lock: bad::predict builds each plan locally and uses it on one thread.
 class SchedulePlan {
  public:
   SchedulePlan(const dfg::Graph& g, std::span<const Cycles> latency);

@@ -248,7 +248,6 @@ TEST(BoundedSweep, IncrementalPassesMatchDefaultSessions) {
 
 TEST(BoundedSweep, FilteredSweepEqualsPrunedRawListOnRandomDags) {
   const lib::ComponentLibrary library = lib::dac91_experiment_library();
-  const bad::Predictor predictor;
   Rng rng(20240611);
   std::size_t bound_skips = 0;
   std::size_t dominance_skips = 0;
@@ -264,19 +263,19 @@ TEST(BoundedSweep, FilteredSweepEqualsPrunedRawListOnRandomDags) {
     req.graph = &bg.graph;
     req.library = &library;
     const bool multi = rng.chance(0.5);
-    req.style.clocking = multi ? bad::ClockingStyle::MultiCycle
-                               : bad::ClockingStyle::SingleCycle;
-    req.style.allow_pipelining = rng.chance(0.8);
-    req.clocks = {pick(rng, {100.0, 300.0}),
-                  multi ? 1 : static_cast<int>(pick(rng, {5.0, 10.0})), 1};
-    req.testability.scan_design = rng.chance(0.3);
-    const std::vector<bad::DesignPrediction> raw = predictor.predict(req);
+    req.env.style.clocking = multi ? bad::ClockingStyle::MultiCycle
+                                   : bad::ClockingStyle::SingleCycle;
+    req.env.style.allow_pipelining = rng.chance(0.8);
+    req.env.clocks = {pick(rng, {100.0, 300.0}),
+                      multi ? 1 : static_cast<int>(pick(rng, {5.0, 10.0})), 1};
+    req.env.testability.scan_design = rng.chance(0.3);
+    const std::vector<bad::DesignPrediction> raw = bad::predict(req);
     ASSERT_FALSE(raw.empty());
 
     std::vector<double> area, perf, power;
     for (const bad::DesignPrediction& p : raw) {
       area.push_back(p.total_area.likely());
-      perf.push_back((req.clocks.main_clock + p.clock_overhead_ns) *
+      perf.push_back((req.env.clocks.main_clock + p.clock_overhead_ns) *
                      static_cast<double>(p.ii_main));
       power.push_back(p.power_mw.likely());
     }
@@ -289,14 +288,14 @@ TEST(BoundedSweep, FilteredSweepEqualsPrunedRawListOnRandomDags) {
     criteria.area_prob = pick(rng, {1.0, 0.6, 0.3});
     criteria.delay_prob = pick(rng, {1.0, 0.8, 0.4});
     criteria.power_prob = pick(rng, {1.0, 0.5});
-    const Level1Test level1(quantile(area, draw()), req.clocks, constraints,
-                            criteria);
+    const Level1Test level1(quantile(area, draw()), req.env.clocks,
+                            constraints, criteria);
 
     const std::vector<bad::DesignPrediction> want = prune_level1(raw, level1);
-    const bad::FilteredPredictions sweep = predictor.predict(req, level1);
+    const bad::FilteredPredictions sweep = bad::predict(req, level1);
     EXPECT_EQ(sweep.raw_count, raw.size());
     EXPECT_EQ(first_difference(bad::pareto_filter(sweep.admitted), want), -1);
-    const Level1Prediction direct = predict_level1(predictor, req, level1);
+    const Level1Prediction direct = predict_level1(req, level1);
     EXPECT_EQ(direct.raw_count, raw.size());
     EXPECT_EQ(first_difference(direct.eligible, want), -1);
     bound_skips += sweep.skipped_bound;
@@ -314,7 +313,6 @@ TEST(BoundedSweep, PointsFailingLevel1NeverJustifyASkip) {
   // sweep that let q justify skipping p would lose p.
   const lib::ComponentLibrary library = lib::dac91_experiment_library();
   const StatVal wiring = library.technology().wiring_area_fraction;
-  const bad::Predictor predictor;
   Rng rng(77101);
   std::size_t exposed = 0;
   for (int trial = 0; trial < 40; ++trial) {
@@ -327,15 +325,15 @@ TEST(BoundedSweep, PointsFailingLevel1NeverJustifyASkip) {
     req.graph = &bg.graph;
     req.library = &library;
     const bool multi = rng.chance(0.5);
-    req.style.clocking = multi ? bad::ClockingStyle::MultiCycle
-                               : bad::ClockingStyle::SingleCycle;
-    req.style.allow_pipelining = rng.chance(0.5);
-    req.clocks = {100.0, multi ? 1 : 5, 1};
-    const std::vector<bad::DesignPrediction> raw = predictor.predict(req);
+    req.env.style.clocking = multi ? bad::ClockingStyle::MultiCycle
+                                   : bad::ClockingStyle::SingleCycle;
+    req.env.style.allow_pipelining = rng.chance(0.5);
+    req.env.clocks = {100.0, multi ? 1 : 5, 1};
+    const std::vector<bad::DesignPrediction> raw = bad::predict(req);
 
     // delay_prob 1 compares the delay triangle's hi end.
     const auto delay_hi = [&req](const bad::DesignPrediction& d) {
-      return (req.clocks.main_clock + 1.15 * d.clock_overhead_ns) *
+      return (req.env.clocks.main_clock + 1.15 * d.clock_overhead_ns) *
              static_cast<double>(d.latency_main);
     };
     // With only a delay budget B binding, x passes level 1 iff
@@ -376,12 +374,12 @@ TEST(BoundedSweep, PointsFailingLevel1NeverJustifyASkip) {
     constraints.delay_ns = delay_hi(raw[*witnessed]);
     FeasibilityCriteria criteria;
     criteria.delay_prob = 1.0;
-    const Level1Test level1(1e12, req.clocks, constraints, criteria);
+    const Level1Test level1(1e12, req.env.clocks, constraints, criteria);
     const std::vector<bad::DesignPrediction> want = prune_level1(raw, level1);
     ASSERT_NE(std::find(want.begin(), want.end(), raw[*witnessed]),
               want.end());
     ++exposed;
-    const Level1Prediction got = predict_level1(predictor, req, level1);
+    const Level1Prediction got = predict_level1(req, level1);
     EXPECT_EQ(first_difference(got.eligible, want), -1);
   }
   EXPECT_GE(exposed, 10u);

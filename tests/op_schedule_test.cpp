@@ -280,7 +280,7 @@ TEST(ScheduleOracle, MatchesReferenceOnRandomDags) {
     const Cycles longest =
         *std::max_element(c.latency.begin(), c.latency.end());
     auto allocs = reference::sweep_allocations(
-        g, lib::functional_kinds(g), bad::PredictorOptions{}.unit_sweep);
+        g, lib::functional_kinds(g), bad::kUnitSweep);
     allocs.emplace_back();  // every class unlimited
     for (const auto& alloc : allocs) {
       ResourceLimits limits;

@@ -1,10 +1,11 @@
 // Oracle tests for core::PredictionMemo, the exact prediction memo that
 // gen::generate_partitions() shares across its starts: a session served
 // from the memo must predict and search exactly like a cold session, the
-// key must cover the pruning inputs, the entry bound must hold under
-// concurrent inserts, a session holding a memo hit must refuse work that
-// needs raw lists, and generation must stay byte-identical across thread
-// counts while the memo gets hits. (Suite names match the CI TSan regex
+// key must cover every field of the prediction environment and the
+// pruning inputs, the entry bound must hold under concurrent inserts, a
+// session holding a memo hit must refuse work that needs raw lists, and
+// generation must stay byte-identical across thread counts while the memo
+// gets hits. (Suite names match the CI TSan regex
 // `Eval|Generate`.)
 #include "core/prediction_memo.hpp"
 
@@ -221,10 +222,91 @@ TEST(GeneratePredictionMemo, UsableAreaIsPartOfTheKey) {
   EXPECT_EQ(memo.size(), 2u);
 }
 
+/// The AR filter with memory on two chips, both blocks off the shelf,
+/// under `config`; block 0 has `ports` ports and access time `access`.
+ChopSession memory_session(const ChopConfig& config, int ports, Ns access) {
+  static const dfg::BenchmarkGraph arm = dfg::ar_lattice_filter_with_memory();
+  chip::MemorySubsystem memory;
+  memory.blocks.push_back({"coeff", 16, 64, ports, access, 4000.0, 3});
+  memory.blocks.push_back({"spill", 16, 256, 1, 300.0, 6000.0, 3});
+  memory.chip_of_block = {chip::kOffTheShelfChip, chip::kOffTheShelfChip};
+  Partitioning pt(arm.graph,
+                  {{"c0", chip::mosis_package_84()},
+                   {"c1", chip::mosis_package_84()}},
+                  memory);
+  pt.add_partition("P1", arm.layer_span(0, 3), 0);
+  pt.add_partition("P2", arm.layer_span(4, arm.layers.size() - 1), 1);
+  return ChopSession(library(), std::move(pt), config);
+}
+
+TEST(GeneratePredictionMemo, EveryPredictEnvFieldIsPartOfTheKey) {
+  // Sessions that differ from the base in one field of the prediction
+  // environment alone (the performance budget also moves the pipelined-II
+  // cap). Each must miss the base's entries: a key that ignored the field
+  // would serve it the base's lists.
+  ChopConfig base;
+  base.style.clocking = bad::ClockingStyle::SingleCycle;
+  base.clocks = {300.0, 10, 1};
+  base.constraints = {30000.0, 60000.0};
+  constexpr int kPorts = 1;
+  constexpr Ns kAccess = 300.0;
+  struct Variant {
+    std::string name;
+    ChopConfig config;
+    int ports = kPorts;
+    Ns access = kAccess;
+  };
+  std::vector<Variant> variants;
+  const auto vary = [&](std::string name, auto edit) {
+    Variant v{std::move(name), base};
+    edit(v);
+    variants.push_back(std::move(v));
+  };
+  vary("clocking", [](Variant& v) {
+    v.config.style.clocking = bad::ClockingStyle::MultiCycle;
+  });
+  vary("pipelining",
+       [](Variant& v) { v.config.style.allow_pipelining = false; });
+  // 290 ns keeps the pipelined-II cap at 30000 / 290 / 10 = 10 cycles.
+  vary("main clock", [](Variant& v) { v.config.clocks.main_clock = 290.0; });
+  vary("datapath multiplier",
+       [](Variant& v) { v.config.clocks.datapath_multiplier = 5; });
+  vary("transfer multiplier",
+       [](Variant& v) { v.config.clocks.transfer_multiplier = 2; });
+  vary("performance budget",
+       [](Variant& v) { v.config.constraints.performance_ns = 15000.0; });
+  vary("testability",
+       [](Variant& v) { v.config.testability.scan_design = true; });
+  vary("memory ports", [](Variant& v) { v.ports = 2; });
+  vary("memory access time", [](Variant& v) { v.access = 6000.0; });
+
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.name);
+    PredictionMemo memo;
+    ChopSession first = memory_session(base, kPorts, kAccess);
+    first.set_prediction_memo(&memo);
+    first.predict_partitions();
+    const std::size_t base_entries = memo.size();
+    ASSERT_EQ(base_entries, first.partitioning().partitions().size());
+
+    ChopSession warm = memory_session(v.config, v.ports, v.access);
+    warm.set_prediction_memo(&memo);
+    ChopSession cold = memory_session(v.config, v.ports, v.access);
+    const PredictionStats got = warm.predict_partitions();
+    const PredictionStats want = cold.predict_partitions();
+    EXPECT_EQ(got.reused, 0u);
+    EXPECT_EQ(memo.size(), 2 * base_entries);
+    EXPECT_EQ(got.total, want.total);
+    EXPECT_EQ(got.feasible, want.feasible);
+    expect_same_eligible(warm, cold);
+    const SearchOptions options;
+    EXPECT_EQ(rendered(warm.search(options)), rendered(cold.search(options)));
+  }
+}
+
 RawInputs synthetic_key(int i) {
   RawInputs raw;
   raw.members = {i, i + 1};
-  raw.unit_sweep = {1, 2};
   return raw;
 }
 

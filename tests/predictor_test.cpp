@@ -28,20 +28,19 @@ PredictionRequest ar_request(const dfg::Graph& g,
   PredictionRequest req;
   req.graph = &g;
   req.library = &lib;
-  req.style.clocking = clocking;
-  req.clocks = clocking == ClockingStyle::SingleCycle
-                   ? ClockSpec{300.0, 10, 1}
-                   : ClockSpec{300.0, 1, 1};
-  req.max_ii_dp = clocking == ClockingStyle::SingleCycle ? 10 : 66;
+  req.env.style.clocking = clocking;
+  req.env.clocks = clocking == ClockingStyle::SingleCycle
+                       ? ClockSpec{300.0, 10, 1}
+                       : ClockSpec{300.0, 1, 1};
+  req.env.max_ii_dp = clocking == ClockingStyle::SingleCycle ? 10 : 66;
   return req;
 }
 
 TEST(Predictor, ProducesPredictionsForArFilter) {
   const lib::ComponentLibrary lib = lib::dac91_experiment_library();
   const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
-  Predictor predictor;
-  const auto preds = predictor.predict(
-      ar_request(ar.graph, lib, ClockingStyle::SingleCycle));
+  const auto preds =
+      predict(ar_request(ar.graph, lib, ClockingStyle::SingleCycle));
   EXPECT_GT(preds.size(), 50u);
   for (const auto& p : preds) {
     EXPECT_GE(p.stages, 1);
@@ -62,9 +61,8 @@ TEST(Predictor, SingleCycleExcludesOversizedModules) {
   // mul3 (7370 ns) cannot run single-cycle on a 3000 ns datapath clock.
   const lib::ComponentLibrary lib = lib::dac91_experiment_library();
   const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
-  Predictor predictor;
-  const auto preds = predictor.predict(
-      ar_request(ar.graph, lib, ClockingStyle::SingleCycle));
+  const auto preds =
+      predict(ar_request(ar.graph, lib, ClockingStyle::SingleCycle));
   for (const auto& p : preds) {
     EXPECT_EQ(p.module_set_label.find("mul3"), std::string::npos);
   }
@@ -73,9 +71,8 @@ TEST(Predictor, SingleCycleExcludesOversizedModules) {
 TEST(Predictor, MultiCycleAdmitsAllModuleSets) {
   const lib::ComponentLibrary lib = lib::dac91_experiment_library();
   const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
-  Predictor predictor;
-  const auto preds = predictor.predict(
-      ar_request(ar.graph, lib, ClockingStyle::MultiCycle));
+  const auto preds =
+      predict(ar_request(ar.graph, lib, ClockingStyle::MultiCycle));
   std::set<std::string> sets;
   for (const auto& p : preds) sets.insert(p.module_set_label);
   EXPECT_EQ(sets.size(), 9u);  // all 3x3 module-set configurations
@@ -84,9 +81,8 @@ TEST(Predictor, MultiCycleAdmitsAllModuleSets) {
 TEST(Predictor, PipelinedVariantsEnumerated) {
   const lib::ComponentLibrary lib = lib::dac91_experiment_library();
   const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
-  Predictor predictor;
-  const auto preds = predictor.predict(
-      ar_request(ar.graph, lib, ClockingStyle::SingleCycle));
+  const auto preds =
+      predict(ar_request(ar.graph, lib, ClockingStyle::SingleCycle));
   int pipelined = 0, nonpipelined = 0;
   for (const auto& p : preds) {
     if (p.style == DesignStyle::Pipelined) {
@@ -105,9 +101,8 @@ TEST(Predictor, DisallowPipeliningHonored) {
   const lib::ComponentLibrary lib = lib::dac91_experiment_library();
   const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
   PredictionRequest req = ar_request(ar.graph, lib, ClockingStyle::SingleCycle);
-  req.style.allow_pipelining = false;
-  Predictor predictor;
-  for (const auto& p : predictor.predict(req)) {
+  req.env.style.allow_pipelining = false;
+  for (const auto& p : predict(req)) {
     EXPECT_EQ(p.style, DesignStyle::Nonpipelined);
   }
 }
@@ -116,9 +111,8 @@ TEST(Predictor, MaxIiCapRespected) {
   const lib::ComponentLibrary lib = lib::dac91_experiment_library();
   const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
   PredictionRequest req = ar_request(ar.graph, lib, ClockingStyle::MultiCycle);
-  req.max_ii_dp = 12;
-  Predictor predictor;
-  for (const auto& p : predictor.predict(req)) {
+  req.env.max_ii_dp = 12;
+  for (const auto& p : predict(req)) {
     if (p.style == DesignStyle::Pipelined) {
       EXPECT_LE(p.ii_dp, 12);
     }
@@ -129,10 +123,9 @@ TEST(Predictor, MemoryAccessesRecorded) {
   const lib::ComponentLibrary lib = lib::dac91_experiment_library();
   const dfg::BenchmarkGraph arm = dfg::ar_lattice_filter_with_memory();
   PredictionRequest req = ar_request(arm.graph, lib, ClockingStyle::MultiCycle);
-  req.memory_ports = {{0, 1}, {1, 1}};
-  req.memory_access_time = {300.0, 300.0};
-  Predictor predictor;
-  const auto preds = predictor.predict(req);
+  req.env.memory_ports = {{0, 1}, {1, 1}};
+  req.env.memory_access_time = {300.0, 300.0};
+  const auto preds = predict(req);
   ASSERT_FALSE(preds.empty());
   for (const auto& p : preds) {
     EXPECT_EQ(p.memory_accesses.at(0), 2);  // two coefficient reads
@@ -144,30 +137,22 @@ TEST(Predictor, MemoryAccessesRecorded) {
 TEST(Predictor, RejectsMalformedRequests) {
   const lib::ComponentLibrary lib = lib::dac91_experiment_library();
   const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
-  Predictor predictor;
   PredictionRequest req;
-  EXPECT_THROW(predictor.predict(req), Error);  // no graph
+  EXPECT_THROW(predict(req), Error);  // no graph
   req.graph = &ar.graph;
-  EXPECT_THROW(predictor.predict(req), Error);  // no library
+  EXPECT_THROW(predict(req), Error);  // no library
   req.library = &lib;
-  req.clocks.main_clock = -1;
-  EXPECT_THROW(predictor.predict(req), Error);  // bad clock
+  req.env.clocks.main_clock = -1;
+  EXPECT_THROW(predict(req), Error);  // bad clock
 }
 
 TEST(Predictor, RejectsUncoveredGraph) {
   lib::ComponentLibrary adders_only;
   adders_only.add({"a", OpKind::Add, 16, 100.0, 30.0});
   const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
-  Predictor predictor;
   EXPECT_THROW(
-      predictor.predict(ar_request(ar.graph, adders_only,
-                                   ClockingStyle::MultiCycle)),
+      predict(ar_request(ar.graph, adders_only, ClockingStyle::MultiCycle)),
       Error);
-}
-
-TEST(Predictor, RejectsBadOptions) {
-  EXPECT_THROW(Predictor(PredictorOptions{{}}), Error);
-  EXPECT_THROW(Predictor(PredictorOptions{{0}}), Error);
 }
 
 TEST(ParetoFilter, RemovesDominatedWithinStyle) {
@@ -242,9 +227,8 @@ TEST_P(PredictorProperty, AllPredictionsCoherent) {
   spec.depth = 5;
   const dfg::BenchmarkGraph bg = dfg::random_dag(rng, spec);
   const lib::ComponentLibrary lib = lib::dac91_experiment_library();
-  Predictor predictor;
-  const auto preds = predictor.predict(
-      ar_request(bg.graph, lib, ClockingStyle::MultiCycle));
+  const auto preds =
+      predict(ar_request(bg.graph, lib, ClockingStyle::MultiCycle));
   ASSERT_FALSE(preds.empty());
   for (const auto& p : preds) {
     EXPECT_LE(p.ii_main, p.latency_main);
@@ -282,8 +266,8 @@ DesignPrediction reference_design(const PredictionRequest& req,
   p.stages = std::max<Cycles>(1, schedule.length);
   p.ii_dp = style == DesignStyle::Pipelined ? schedule.initiation_interval
                                             : p.stages;
-  p.ii_main = p.ii_dp * req.clocks.datapath_multiplier;
-  p.latency_main = p.stages * req.clocks.datapath_multiplier;
+  p.ii_main = p.ii_dp * req.env.clocks.datapath_multiplier;
+  p.latency_main = p.stages * req.env.clocks.datapath_multiplier;
 
   const DatapathEstimate dp =
       estimate_datapath(g, latency, schedule, alloc, *req.library);
@@ -320,7 +304,7 @@ DesignPrediction reference_design(const PredictionRequest& req,
   const Ns wiring_delay =
       tech.wiring_delay_fraction.likely() * (dp.steering_delay + pla.delay);
   p.clock_overhead_ns = (dp.steering_delay + pla.delay + wiring_delay) /
-                        static_cast<double>(req.clocks.datapath_multiplier);
+                        static_cast<double>(req.env.clocks.datapath_multiplier);
   const AreaMil2 support_area = p.register_area.likely() +
                                 p.mux_area.likely() +
                                 p.controller_area.likely();
@@ -345,26 +329,26 @@ std::vector<DesignPrediction> reference_predict(const PredictionRequest& req) {
   for (const lib::ModuleSet& set :
        lib::enumerate_module_sets(*req.library, kinds)) {
     const auto latency_opt =
-        operation_latencies(g, set, req.style.clocking, req.clocks, overhead,
-                            req.memory_access_time);
+        operation_latencies(g, set, req.env.style.clocking, req.env.clocks,
+                            overhead, req.env.memory_access_time);
     if (!latency_opt) continue;
     const std::vector<Cycles>& latency = *latency_opt;
     const auto allocs = sched::reference::sweep_allocations(
-        g, kinds, PredictorOptions{}.unit_sweep);
+        g, kinds, kUnitSweep);
     for (const auto& alloc : allocs) {
       sched::ResourceLimits limits;
       limits.fu = alloc;
-      limits.memory_ports = req.memory_ports;
+      limits.memory_ports = req.env.memory_ports;
       const sched::OpSchedule nonpipe =
           sched::reference::schedule(g, latency, limits, 0);
       out.push_back(reference_design(req, set, alloc, latency, nonpipe,
                                      DesignStyle::Nonpipelined));
       const Cycles stages = out.back().stages;
-      if (!req.style.allow_pipelining || stages <= 1) continue;
+      if (!req.env.style.allow_pipelining || stages <= 1) continue;
       const Cycles min_ii = std::max<Cycles>(
           1, sched::reference::min_initiation_interval(g, latency, limits));
       Cycles ii_cap = stages - 1;
-      if (req.max_ii_dp > 0) ii_cap = std::min(ii_cap, req.max_ii_dp);
+      if (req.env.max_ii_dp > 0) ii_cap = std::min(ii_cap, req.env.max_ii_dp);
       for (Cycles ii = min_ii; ii <= ii_cap; ++ii) {
         const sched::OpSchedule pipe =
             sched::reference::schedule(g, latency, limits, ii);
@@ -415,8 +399,8 @@ TEST(PredictorOracle, MatchesReferenceSweep) {
        {ClockingStyle::SingleCycle, ClockingStyle::MultiCycle}) {
     requests.push_back(ar_request(ar.graph, lib, clocking));
     PredictionRequest mem = ar_request(arm.graph, lib, clocking);
-    mem.memory_ports = {{0, 1}, {1, 1}};
-    mem.memory_access_time = {300.0, 700.0};
+    mem.env.memory_ports = {{0, 1}, {1, 1}};
+    mem.env.memory_access_time = {300.0, 700.0};
     requests.push_back(mem);
   }
   std::vector<sched::reference::RandomCase> cases;
@@ -427,20 +411,19 @@ TEST(PredictorOracle, MatchesReferenceSweep) {
     PredictionRequest req = ar_request(
         cases[k].bg.graph, lib,
         k % 2 == 0 ? ClockingStyle::MultiCycle : ClockingStyle::SingleCycle);
-    req.memory_ports = cases[k].memory_ports;
-    req.memory_access_time = {300.0, 650.0, 1000.0};
-    req.max_ii_dp = 0;  // every II up to the stage count
+    req.env.memory_ports = cases[k].memory_ports;
+    req.env.memory_access_time = {300.0, 650.0, 1000.0};
+    req.env.max_ii_dp = 0;  // every II up to the stage count
     requests.push_back(req);
   }
-  Predictor predictor;
   for (std::size_t r = 0; r < requests.size(); ++r) {
     SCOPED_TRACE("request " + std::to_string(r));
-    ASSERT_TRUE(requests[r].style.allow_pipelining);
+    ASSERT_TRUE(requests[r].env.style.allow_pipelining);
     const auto want = reference_predict(requests[r]);
     ASSERT_TRUE(std::any_of(want.begin(), want.end(), [](const auto& p) {
       return p.style == DesignStyle::Pipelined;
     }));
-    expect_same_predictions(want, predictor.predict(requests[r]));
+    expect_same_predictions(want, predict(requests[r]));
   }
 }
 

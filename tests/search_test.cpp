@@ -43,7 +43,8 @@ TEST(PruneLevel1, DropsAreaInfeasible) {
       pred(DesignStyle::Nonpipelined, 30, 30, 50000.0),
       pred(DesignStyle::Nonpipelined, 30, 30, 200000.0),  // too big
   };
-  const auto kept = prune_level1(preds, 87000.0, clocks, constraints, criteria);
+  const auto kept =
+      prune_level1(preds, Level1Test(87000.0, clocks, constraints, criteria));
   ASSERT_EQ(kept.size(), 1u);
   EXPECT_EQ(kept[0].total_area.likely(), 50000.0);
 }
@@ -57,7 +58,8 @@ TEST(PruneLevel1, DropsPerformanceAndDelayInfeasible) {
       pred(DesignStyle::Nonpipelined, 120, 120, 900.0),  // 120 x 304 > 30000
       pred(DesignStyle::Pipelined, 30, 150, 800.0),      // latency too long
   };
-  const auto kept = prune_level1(preds, 87000.0, clocks, constraints, criteria);
+  const auto kept =
+      prune_level1(preds, Level1Test(87000.0, clocks, constraints, criteria));
   ASSERT_EQ(kept.size(), 1u);
   EXPECT_EQ(kept[0].ii_main, 30);
 }
@@ -71,7 +73,8 @@ TEST(PruneLevel1, RemovesInferiorWithinStyle) {
       pred(DesignStyle::Nonpipelined, 30, 30, 2000.0),  // dominated
       pred(DesignStyle::Pipelined, 30, 40, 2000.0),     // other style: kept
   };
-  const auto kept = prune_level1(preds, 87000.0, clocks, constraints, criteria);
+  const auto kept =
+      prune_level1(preds, Level1Test(87000.0, clocks, constraints, criteria));
   EXPECT_EQ(kept.size(), 2u);
 }
 

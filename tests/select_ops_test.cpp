@@ -58,11 +58,10 @@ TEST(SelectOps, CountedAsSteeringMuxes) {
   bad::PredictionRequest req;
   req.graph = &f.graph;
   req.library = &extended();
-  req.style.clocking = bad::ClockingStyle::SingleCycle;
-  req.clocks = {300.0, 10, 1};
-  req.max_ii_dp = 10;
-  bad::Predictor predictor;
-  const auto preds = predictor.predict(req);
+  req.env.style.clocking = bad::ClockingStyle::SingleCycle;
+  req.env.clocks = {300.0, 10, 1};
+  req.env.max_ii_dp = 10;
+  const auto preds = bad::predict(req);
   ASSERT_FALSE(preds.empty());
   for (const auto& p : preds) {
     // At least the two 16-bit selects' worth of muxes beyond registers.

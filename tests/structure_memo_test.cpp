@@ -22,6 +22,7 @@
 #include "library/experiment_library.hpp"
 #include "obs/observer.hpp"
 #include "testing/scenario.hpp"
+#include "util/numbered.hpp"
 #include "util/rng.hpp"
 
 namespace chop::core {
@@ -218,11 +219,10 @@ ChopSession shared_port_session() {
   static const dfg::Graph graph = [] {
     dfg::Graph g("shared_port");
     for (int pipe = 0; pipe < 2; ++pipe) {
-      const auto x = g.add_input("x" + std::to_string(pipe), 16);
-      const auto rd =
-          g.add_mem_read(0, 16, dfg::kNoNode, "rd" + std::to_string(pipe));
+      const auto x = g.add_input(numbered("x", pipe), 16);
+      const auto rd = g.add_mem_read(0, 16, dfg::kNoNode, numbered("rd", pipe));
       const auto mul = g.add_op(dfg::OpKind::Mul, 16, {rd, x});
-      g.add_output("y" + std::to_string(pipe), mul);
+      g.add_output(numbered("y", pipe), mul);
     }
     g.validate();
     return g;
