@@ -2,24 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <limits>
 
-#include "core/partitioning.hpp"
+#include "core/integration.hpp"
 #include "core/transfer.hpp"
-#include "library/component_library.hpp"
+#include "util/error.hpp"
 
 namespace chop::core {
 
 namespace {
-
-std::size_t sat_mul(std::size_t a, std::size_t b) {
-  if (a == 0 || b == 0) return 0;
-  if (a > std::numeric_limits<std::size_t>::max() / b) {
-    return std::numeric_limits<std::size_t>::max();
-  }
-  return a * b;
-}
 
 /// Componentwise minimum of two triplets. Valid as a StatVal because each
 /// component's minimum preserves lo <= likely <= hi (min_p lo_p <= lo_q <=
@@ -39,20 +29,21 @@ void set_bound_slack_for_testing(double slack) {
   g_bound_slack.store(slack, std::memory_order_relaxed);
 }
 
-bool PrefixState::push(int chip, const bad::DesignPrediction& cand) {
+bool PrefixState::push(std::size_t p, const bad::DesignPrediction& cand) {
   if (cand.style == bad::DesignStyle::Pipelined && pipelined_rate_ != 0 &&
       cand.ii_main != pipelined_rate_) {
     // Every completion fails rates_compatible() — an exact prune, so the
     // caller may cut the subtree without this candidate being committed.
     return false;
   }
+  const int chip = (*partitions_)[p].chip;
   const auto c = static_cast<std::size_t>(chip);
-  frames_.push_back({chip, area_[c], power_[c], max_ii_, max_latency_,
-                     max_overhead_, pipelined_rate_});
+  frames_.push_back({chip, area_[c], power_[c], max_ii_, max_overhead_,
+                     pipelined_rate_});
   area_[c] += cand.total_area;
   power_[c] += cand.power_mw;
+  latency_[p] = cand.latency_main;
   max_ii_ = std::max(max_ii_, cand.ii_main);
-  max_latency_ = std::max(max_latency_, cand.latency_main);
   max_overhead_ = std::max(max_overhead_, cand.clock_overhead_ns);
   if (cand.style == bad::DesignStyle::Pipelined) {
     pipelined_rate_ = cand.ii_main;
@@ -66,7 +57,6 @@ void PrefixState::pop() {
   area_[c] = f.prev_area;
   power_[c] = f.prev_power;
   max_ii_ = f.prev_max_ii;
-  max_latency_ = f.prev_max_latency;
   max_overhead_ = f.prev_max_overhead;
   pipelined_rate_ = f.prev_pipelined_rate;
   frames_.pop_back();
@@ -82,14 +72,6 @@ BoundTables::BoundTables(
   const std::size_t nchips = chips.size();
   const std::size_t nparts = partitions.size();
 
-  chip_of_.resize(nparts);
-  for (std::size_t p = 0; p < nparts; ++p) chip_of_[p] = partitions[p].chip;
-
-  chip_usable_.resize(nchips);
-  for (std::size_t c = 0; c < nchips; ++c) {
-    chip_usable_[c] = chips[c].package.usable_area();
-  }
-
   // Fixed on-chip memory macro area, exactly as integrate() charges it.
   chip_base_area_.assign(nchips, StatVal{});
   for (std::size_t b = 0; b < pt.memory().blocks.size(); ++b) {
@@ -100,51 +82,48 @@ BoundTables::BoundTables(
     }
   }
 
-  // Selection-independent integration facts: per-chip data-pin budgets,
-  // crossing-transfer durations (every term in integrate()'s transfer
-  // plan is fixed by the partitioning + clocks), and the pin-mux clock
-  // charge.
-  const std::vector<Pins> reserved = reserved_control_pins(pt, ctx.transfers());
-  std::vector<Pins> data_pins(nchips, 0);
-  for (std::size_t c = 0; c < nchips; ++c) {
-    data_pins[c] =
-        chips[c].package.signal_pins() - reserved[c] - ctx.extra_pins();
-    if (data_pins[c] <= 0) space_infeasible_ = true;
+  // Selection-independent integration facts, as integrate() derives them.
+  TransferFacts facts;
+  compute_transfer_facts(ctx, facts);
+  space_infeasible_ = facts.starved_chip >= 0;
+  transfer_charge_ = facts.transfer_charge;
+  for (Cycles cycles : facts.cycles) {
+    required_ii_ = std::max(required_ii_, cycles);
   }
 
-  std::vector<int> sharing(nchips, 0);
-  if (!space_infeasible_) {
-    for (const DataTransfer& t : ctx.transfers()) {
-      for (int c : t.chips) ++sharing[static_cast<std::size_t>(c)];
-      if (!t.crosses_pins()) continue;
-      Pins bw = std::numeric_limits<Pins>::max();
-      for (int c : t.chips) {
-        bw = std::min(bw, data_pins[static_cast<std::size_t>(c)]);
-      }
-      const Pins pins =
-          static_cast<Pins>(std::min<Bits>(bw, std::max<Bits>(1, t.bits)));
-      const Cycles transfer_clocks = static_cast<Cycles>(
-          (t.bits + pins - 1) / std::max<Pins>(1, pins));
-      Ns pad_path = 0.0;
-      for (int c : t.chips) {
-        pad_path += chips[static_cast<std::size_t>(c)].package.pad_delay;
-      }
-      const Cycles pad_cycles = static_cast<Cycles>(
-          std::ceil(pad_path / ctx.clocks().transfer_period()));
-      const Cycles cycles = std::max<Cycles>(
-          1, transfer_clocks * ctx.clocks().transfer_multiplier + pad_cycles);
-      required_ii_ = std::max(required_ii_, cycles);
-    }
-    const lib::BitCellSpec mux{18.0, 4.0};
-    for (std::size_t c = 0; c < nchips; ++c) {
-      if (sharing[c] <= 1) continue;
-      const int levels = static_cast<int>(std::ceil(std::log2(sharing[c])));
-      transfer_charge_ = std::max(
-          transfer_charge_,
-          static_cast<double>(levels) * mux.delay /
-              static_cast<double>(ctx.clocks().transfer_multiplier));
+  // The precedence graph integrate() schedules: producer -> transfer ->
+  // consumer, each transfer weighted by its fixed duration.
+  const std::vector<DataTransfer>& transfers = ctx.transfers();
+  head_.assign(nparts, 0);
+  tail_.assign(nparts, 0);
+  into_.assign(nparts, {});
+  for (std::size_t i = 0; i < transfers.size(); ++i) {
+    const DataTransfer& t = transfers[i];
+    const auto src = static_cast<std::size_t>(t.src_partition);
+    const auto dst = static_cast<std::size_t>(t.dst_partition);
+    switch (t.kind) {
+      case DataTransfer::Kind::InputDelivery:
+      case DataTransfer::Kind::MemoryRead:
+        head_[dst] = std::max(head_[dst], facts.cycles[i]);
+        break;
+      case DataTransfer::Kind::OutputCollection:
+      case DataTransfer::Kind::MemoryWrite:
+        tail_[src] = std::max(tail_[src], facts.cycles[i]);
+        break;
+      case DataTransfer::Kind::Interpartition:
+        into_[dst].emplace_back(src, facts.cycles[i]);
+        break;
     }
   }
+  // Topological order, producers first (the quotient graph is acyclic).
+  std::vector<bool> placed(nparts, false);
+  const auto place = [&](const auto& self, std::size_t p) -> void {
+    if (placed[p]) return;
+    placed[p] = true;
+    for (const auto& edge : into_[p]) self(self, edge.first);
+    order_.push_back(p);
+  };
+  for (std::size_t p = 0; p < nparts; ++p) place(place, p);
 
   // Per-partition candidate minima, folded into suffix tables: entry m
   // aggregates partitions [0, m), i.e. the still-open partitions when the
@@ -153,17 +132,12 @@ BoundTables::BoundTables(
   rem_min_power_.assign(nparts + 1, std::vector<StatVal>(nchips));
   rem_min_ii_max_.assign(nparts + 1, 0);
   rem_max_ii_.assign(nparts + 1, 0);
-  rem_min_latency_max_.assign(nparts + 1, 0);
+  min_latency_.assign(nparts, 0);
   rem_min_overhead_max_.assign(nparts + 1, 0.0);
-  rem_leaves_.assign(nparts + 1, 1);
   for (std::size_t m = 1; m <= nparts; ++m) {
     const std::size_t p = m - 1;
     const auto& cands = lists[p];
-    if (cands.empty()) {
-      space_infeasible_ = true;
-      rem_leaves_[m] = 0;
-      continue;
-    }
+    CHOP_REQUIRE(!cands.empty(), "every candidate list must be non-empty");
 
     StatVal min_area = cands.front().total_area;
     StatVal min_power = cands.front().power_mw;
@@ -181,17 +155,36 @@ BoundTables::BoundTables(
       min_overhead = std::min(min_overhead, cand.clock_overhead_ns);
     }
 
+    const auto chip = static_cast<std::size_t>(partitions[p].chip);
     rem_min_area_[m] = rem_min_area_[m - 1];
-    rem_min_area_[m][static_cast<std::size_t>(chip_of_[p])] += min_area;
+    rem_min_area_[m][chip] += min_area;
     rem_min_power_[m] = rem_min_power_[m - 1];
-    rem_min_power_[m][static_cast<std::size_t>(chip_of_[p])] += min_power;
+    rem_min_power_[m][chip] += min_power;
     rem_min_ii_max_[m] = std::max(rem_min_ii_max_[m - 1], min_ii);
     rem_max_ii_[m] = std::max(rem_max_ii_[m - 1], max_ii);
-    rem_min_latency_max_[m] = std::max(rem_min_latency_max_[m - 1], min_latency);
+    min_latency_[p] = min_latency;
     rem_min_overhead_max_[m] = std::max(rem_min_overhead_max_[m - 1],
                                         min_overhead);
-    rem_leaves_[m] = sat_mul(rem_leaves_[m - 1], cands.size());
   }
+}
+
+Cycles BoundTables::delay_bound(const PrefixState& prefix,
+                                std::size_t remaining) const {
+  // Earliest finish per partition; workers share the tables, so the
+  // scratch is per thread.
+  thread_local std::vector<Cycles> finish;
+  finish.resize(order_.size());
+  Cycles longest = 0;
+  for (std::size_t p : order_) {
+    Cycles start = head_[p];
+    for (const auto& [producer, cycles] : into_[p]) {
+      start = std::max(start, finish[producer] + cycles);
+    }
+    finish[p] =
+        start + (p < remaining ? min_latency_[p] : prefix.latency(p));
+    longest = std::max(longest, finish[p] + tail_[p]);
+  }
+  return longest;
 }
 
 bool BoundTables::prune(const PrefixState& prefix, std::size_t remaining,
@@ -206,7 +199,7 @@ bool BoundTables::prune(const PrefixState& prefix, std::size_t remaining,
   const DesignConstraints& constraints = ctx_->constraints();
   const FeasibilityCriteria& criteria = ctx_->criteria();
 
-  // Clock / performance / delay bounds combine with exact max and monotone
+  // The clock and performance bounds combine with exact max and monotone
   // FP operations (see header) — no slack needed.
   const Cycles lb_ii = std::max<Cycles>(
       1, std::max(prefix.max_ii(), rem_min_ii_max_[m]));
@@ -220,25 +213,24 @@ bool BoundTables::prune(const PrefixState& prefix, std::size_t remaining,
                                constraints.performance_ns)) {
     return true;
   }
-  // The urgency schedule's makespan is at least the longest task: any
-  // selected partition latency, and any crossing transfer's fixed duration
-  // (which is exactly required_ii_ at its max).
-  const Cycles lb_delay = std::max(
-      {prefix.max_latency(), rem_min_latency_max_[m], required_ii_});
-  if (!criteria.delay_ok(clock_lb * static_cast<double>(lb_delay),
+  // The delay bound can equal a leaf's exact delay, and additive per-chip
+  // bounds accumulate in a different order than integrate(); shave all
+  // three by kBoundSlack so rounding can never cut a feasible leaf.
+  const double slack = bound_slack();
+  const Cycles lb_delay = delay_bound(prefix, m);
+  if (!criteria.delay_ok(clock_lb * static_cast<double>(lb_delay) * slack,
                          constraints.delay_ns)) {
     return true;
   }
 
-  // Additive per-chip bounds accumulate in a different order than
-  // integrate(); shave by kBoundSlack so rounding drift can never cut a
-  // feasible leaf.
-  const double slack = bound_slack();
-  const std::size_t nchips = chip_usable_.size();
+  const auto& chips = ctx_->partitioning().chips();
+  const std::size_t nchips = chips.size();
   for (std::size_t c = 0; c < nchips; ++c) {
     const StatVal area_lb =
         (chip_base_area_[c] + prefix.area(c) + rem_min_area_[m][c]) * slack;
-    if (!criteria.area_ok(area_lb, chip_usable_[c])) return true;
+    if (!criteria.area_ok(area_lb, chips[c].package.usable_area())) {
+      return true;
+    }
   }
   if (constraints.power_constrained()) {
     StatVal system_lb;

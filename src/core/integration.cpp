@@ -138,21 +138,9 @@ Failure precheck(const std::vector<const bad::DesignPrediction*>& selection,
   return {};
 }
 
-/// What integrate() derives from the context alone: pin budgets, each
-/// transfer's bandwidth and duration, and the clock's transfer charge.
-struct ContextFacts {
-  std::vector<Pins> reserved;
-  std::vector<Pins> data_pins;
-  /// First chip with no data pins left after control reservations, or -1;
-  /// when set, the transfer facts below are not computed.
-  int starved_chip = -1;
-  std::vector<int> sharing;     ///< Pin-crossing transfer count per chip.
-  std::vector<Pins> pins;       ///< Per transfer; 0 when on chip.
-  std::vector<Cycles> cycles;   ///< X per transfer; 0 when on chip.
-  Ns transfer_charge = 0.0;     ///< Pin-mux clock stretch.
-};
+}  // namespace
 
-void compute_facts(const EvalContext& ctx, ContextFacts& f) {
+void compute_transfer_facts(const EvalContext& ctx, TransferFacts& f) {
   const Partitioning& pt = ctx.partitioning();
   const std::vector<DataTransfer>& transfers = ctx.transfers();
   const bad::ClockSpec& clocks = ctx.clocks();
@@ -162,6 +150,10 @@ void compute_facts(const EvalContext& ctx, ContextFacts& f) {
   reserved_control_pins_into(pt, transfers, 2, f.reserved);
   f.data_pins.assign(chips.size(), 0);
   f.starved_chip = -1;
+  f.sharing.assign(chips.size(), 0);
+  f.pins.assign(transfers.size(), 0);
+  f.cycles.assign(transfers.size(), 0);
+  f.transfer_charge = 0.0;
   for (std::size_t c = 0; c < chips.size(); ++c) {
     f.data_pins[c] =
         chips[c].package.signal_pins() - f.reserved[c] - ctx.extra_pins();
@@ -171,14 +163,11 @@ void compute_facts(const EvalContext& ctx, ContextFacts& f) {
     }
   }
 
-  f.sharing.assign(chips.size(), 0);
   for (const DataTransfer& t : transfers) {
     for (int c : t.chips) f.sharing[static_cast<std::size_t>(c)]++;
   }
 
   // --- transfer bandwidth and duration ------------------------------------
-  f.pins.assign(transfers.size(), 0);
-  f.cycles.assign(transfers.size(), 0);
   for (std::size_t i = 0; i < transfers.size(); ++i) {
     const DataTransfer& t = transfers[i];
     // An on-chip move is absorbed in the datapath: no pins, no cycles.
@@ -208,7 +197,6 @@ void compute_facts(const EvalContext& ctx, ContextFacts& f) {
   // Only the on-chip pin-multiplexing tree stretches the clock; pad delay
   // is charged to the transfer duration above.
   const lib::BitCellSpec mux{18.0, 4.0};
-  f.transfer_charge = 0.0;
   for (std::size_t c = 0; c < chips.size(); ++c) {
     if (f.sharing[c] == 0) continue;
     const Ns path = static_cast<double>(mux_levels(f.sharing[c])) * mux.delay;
@@ -217,6 +205,8 @@ void compute_facts(const EvalContext& ctx, ContextFacts& f) {
                  path / static_cast<double>(clocks.transfer_multiplier));
   }
 }
+
+namespace {
 
 /// The structure stage's result for one pin-crossing transfer.
 struct TransferShape {
@@ -245,7 +235,7 @@ struct StructureScratch {
 
 /// Stage 2: the system task graph, its urgency schedule, and each
 /// pin-crossing transfer's wait, buffer, controller, area and power.
-void build_structure(const EvalContext& ctx, const ContextFacts& f,
+void build_structure(const EvalContext& ctx, const TransferFacts& f,
                      const std::vector<const bad::DesignPrediction*>& selection,
                      Cycles ii_main, StructureScratch& sc, Structure& out) {
   const Partitioning& pt = ctx.partitioning();
@@ -413,7 +403,7 @@ void build_structure(const EvalContext& ctx, const ContextFacts& f,
 /// The transfer plans integrate() reports: every plan once the structure
 /// is built; when it failed, the bandwidth and duration of the transfers
 /// checked before the failure.
-void report_transfers(const EvalContext& ctx, const ContextFacts& f,
+void report_transfers(const EvalContext& ctx, const TransferFacts& f,
                       const Structure& s, std::vector<TransferPlan>& out) {
   const std::vector<DataTransfer>& transfers = ctx.transfers();
   std::size_t count = transfers.size();
@@ -449,7 +439,7 @@ struct TailScratch {
 /// needed: it stops at the first failed check and sums power only when a
 /// budget is set. Otherwise `out` receives every field integrate() reports
 /// past the structure.
-Failure finish(const EvalContext& ctx, const ContextFacts& f,
+Failure finish(const EvalContext& ctx, const TransferFacts& f,
                const Structure& s,
                const std::vector<const bad::DesignPrediction*>& selection,
                Cycles ii_main, TailScratch& sc, Ns& clock,
@@ -564,7 +554,7 @@ Failure finish(const EvalContext& ctx, const ContextFacts& f,
 /// evaluator miss, so its buffers stay alive across calls. thread_local
 /// because callers run it from pool threads concurrently.
 struct BareScratch {
-  ContextFacts facts;
+  TransferFacts facts;
   StructureScratch structure_scratch;
   Structure structure;
   TailScratch tail;
@@ -589,7 +579,7 @@ IntegrationResult integrate(
   Failure failure = precheck(selection, ii_main);
   if (!failure) {
     BareScratch& sc = scratch_for_thread();
-    compute_facts(ctx, sc.facts);
+    compute_transfer_facts(ctx, sc.facts);
     build_structure(ctx, sc.facts, selection, ii_main, sc.structure_scratch,
                     sc.structure);
     report_transfers(ctx, sc.facts, sc.structure, out.transfers);
@@ -619,13 +609,13 @@ IntegrationResult integrate(
 /// shared read-only by a memo and its forks.
 struct IntegrationMemo::Frame {
   const EvalContext* ctx = nullptr;
-  ContextFacts facts;
+  TransferFacts facts;
   std::string starved_text;              ///< kNoDataPins, if a chip starves.
   std::vector<std::string> fit_text;     ///< kTransferFit, per transfer.
   std::vector<std::string> power_text;   ///< kChipPower, per chip.
 
   explicit Frame(const EvalContext& c) : ctx(&c) {
-    compute_facts(c, facts);
+    compute_transfer_facts(c, facts);
     if (facts.starved_chip >= 0) {
       starved_text =
           failure_text(c, {Fail::kNoDataPins,
@@ -693,7 +683,7 @@ LeafVerdict IntegrationMemo::integrate(
     const std::vector<const bad::DesignPrediction*>& selection,
     Cycles ii_main, IntegrationResult* result) {
   const EvalContext& ctx = *frame_->ctx;
-  const ContextFacts& facts = frame_->facts;
+  const TransferFacts& facts = frame_->facts;
   check_arguments(ctx, selection, ii_main);
   counters().attempts.add();
 

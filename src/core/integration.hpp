@@ -68,6 +68,25 @@ struct IntegrationResult {
   Ns clock_ns() const { return adjusted_clock_ns.likely(); }
 };
 
+/// What integrate() derives from the context alone: pin budgets, each
+/// transfer's bandwidth and duration, and the clock's transfer charge.
+/// The branch-and-bound tables read the same facts, so their bounds and
+/// integrate() cannot drift apart.
+struct TransferFacts {
+  std::vector<Pins> reserved;
+  std::vector<Pins> data_pins;
+  /// First chip with no data pins left after control reservations, or -1;
+  /// when set, the per-transfer facts below stay 0.
+  int starved_chip = -1;
+  std::vector<int> sharing;     ///< Pin-crossing transfer count per chip.
+  std::vector<Pins> pins;       ///< Per transfer; 0 when on chip.
+  std::vector<Cycles> cycles;   ///< X per transfer; 0 when on chip.
+  Ns transfer_charge = 0.0;     ///< Pin-mux clock stretch.
+};
+
+/// Fills `out` with the context's transfer facts, reusing its buffers.
+void compute_transfer_facts(const EvalContext& ctx, TransferFacts& out);
+
 /// Integrates `selection` (one prediction per partition, indexed like
 /// ctx.partitioning().partitions()) at system initiation interval
 /// `ii_main` main-clock cycles. The context carries the partitioning, its

@@ -328,6 +328,8 @@ struct UnitPlan {
   std::size_t inner_count = 0;
   std::size_t unit_count = 1;
   std::size_t leaves_per_unit = 1;  ///< Saturated product of inner lens.
+  /// [m]: leaves below a walk node with partitions [0, m) open.
+  std::vector<std::size_t> leaves_below;
 };
 
 UnitPlan plan_units(const OdometerSpace& space) {
@@ -340,6 +342,7 @@ UnitPlan plan_units(const OdometerSpace& space) {
   }
   plan.inner_count = nparts - split;
   for (std::size_t p = 0; p < plan.inner_count; ++p) {
+    plan.leaves_below.push_back(plan.leaves_per_unit);
     plan.leaves_per_unit = sat_mul(plan.leaves_per_unit, space.len[p]);
   }
   return plan;
@@ -466,7 +469,7 @@ class BoundedWalker {
         with_(with),
         profile_(profile),
         frontier_(seed),
-        prefix_(ctx.partitioning().chips().size()),
+        prefix_(ctx.partitioning()),
         digits_(lists.size(), 0),
         selection_(lists.size(), nullptr) {}
 
@@ -474,7 +477,7 @@ class BoundedWalker {
     decode_unit(lists_, plan_, u, digits_, selection_);
     const std::size_t nparts = lists_.size();
     for (std::size_t p = nparts; p-- > plan_.inner_count;) {
-      if (!prefix_.push(tables_.chip_of(p), *selection_[p]) ||
+      if (!prefix_.push(p, *selection_[p]) ||
           tables_.prune(prefix_, p, frontier_)) {
         ++out_.pruned_subtrees;
         out_.skipped_leaves =
@@ -496,18 +499,18 @@ class BoundedWalker {
     for (std::size_t d = 0; d < lists_[p].size(); ++d) {
       digits_[p] = d;
       selection_[p] = &lists_[p][d];
-      if (!prefix_.push(tables_.chip_of(p), *selection_[p])) {
+      if (!prefix_.push(p, *selection_[p])) {
         // Pipelined-rate conflict: an exact prune, nothing was committed.
         ++out_.pruned_subtrees;
         out_.skipped_leaves =
-            sat_add(out_.skipped_leaves, tables_.leaves_below(p));
+            sat_add(out_.skipped_leaves, plan_.leaves_below[p]);
         continue;
       }
       if (tables_.prune(prefix_, p, frontier_)) {
         prefix_.pop();
         ++out_.pruned_subtrees;
         out_.skipped_leaves =
-            sat_add(out_.skipped_leaves, tables_.leaves_below(p));
+            sat_add(out_.skipped_leaves, plan_.leaves_below[p]);
         continue;
       }
       walk(p);

@@ -32,12 +32,14 @@ bad::PredictEnv ChopSession::predict_env() const {
   bad::PredictEnv env;
   env.style = config_.style;
   env.clocks = config_.clocks;
+  env.clocks.transfer_multiplier = 1;
   // Cap pipelined II enumeration from the performance budget (§3.2).
   const Cycles max_ii_main = static_cast<Cycles>(
       config_.constraints.performance_ns / config_.clocks.main_clock);
   env.max_ii_dp =
       std::max<Cycles>(1, max_ii_main / config_.clocks.datapath_multiplier);
   env.testability = config_.testability;
+  env.testability.test_pins_per_chip = 0;
   const auto& blocks = partitioning_.memory().blocks;
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     env.memory_ports[static_cast<int>(b)] = blocks[b].ports;

@@ -157,6 +157,9 @@ class ChopSession {
   };
 
   /// The prediction environment of the current config and memory blocks.
+  /// Fields BAD never reads (the transfer multiplier, the test-pin
+  /// reserve) hold fixed values, so a revision that moves only them
+  /// reuses every partition's lists.
   bad::PredictEnv predict_env() const;
   EligibleInputs eligible_inputs(std::size_t p) const;
   Level1Test level1_test(const EligibleInputs& eligible) const;

@@ -4,21 +4,33 @@
 // fewer leaves, and bounded runs must stay deterministic across thread
 // counts — designs, counters, recorder contents, and observer callback
 // sequence. Also unit-tests the incumbent ParetoFrontier the pruner
-// queries.
+// queries, and checks the longest-path delay bound on fuzz scenarios:
+// it never exceeds any leaf's integrated delay at any prefix, and under a
+// delay budget drawn from the scenario's own leaves the bounded walk
+// still returns the exhaustive design set.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "chip/mosis_packages.hpp"
+#include "core/eval/bound_state.hpp"
 #include "core/eval/candidate_evaluator.hpp"
+#include "core/eval/eval_delta.hpp"
+#include "core/integration.hpp"
 #include "core/recorder.hpp"
 #include "core/search.hpp"
 #include "core/session.hpp"
 #include "dfg/benchmarks.hpp"
+#include "io/spec_format.hpp"
 #include "library/experiment_library.hpp"
+#include "testing/scenario.hpp"
 #include "util/numbered.hpp"
+#include "util/rng.hpp"
 
 namespace chop::core {
 namespace {
@@ -306,15 +318,187 @@ TEST(BoundPruning, TruncationDeterministicAcrossThreadCounts) {
   ChopSession session = ar_session(1, 3);
   session.predict_partitions();
   const std::size_t cap = 23;  // not on any unit boundary
-  const SearchResult serial =
-      run_search(session, true, 1, /*record_all=*/true, cap);
+  // Keep-all, so that the bounded walk visits more leaves than the cap.
+  const auto capped = [&](int threads) {
+    CandidateEvaluator evaluator;
+    SearchOptions opt;
+    opt.heuristic = Heuristic::Enumeration;
+    opt.prune = false;
+    opt.threads = threads;
+    opt.record_all = true;
+    opt.max_trials = cap;
+    opt.evaluator = &evaluator;
+    return session.search(opt);
+  };
+  const SearchResult serial = capped(1);
   EXPECT_EQ(serial.trials, cap);
   EXPECT_TRUE(serial.truncated);
   for (int threads : {2, 4, 8}) {
-    expect_identical_bounded(
-        serial, run_search(session, true, threads, /*record_all=*/true, cap),
-        threads);
+    expect_identical_bounded(serial, capped(threads), threads);
   }
+}
+
+/// A fuzz scenario with 2-4 partitions on 2-3 chips, memory reads and
+/// writes on one or two blocks, and pipelined styles allowed.
+io::Project path_scenario(std::uint64_t index) {
+  testing::ScenarioKnobs k = testing::sample_knobs(
+      testing::scenario_seed(testing::parse_seed("path-bound"), index));
+  k.partitions = 2 + static_cast<int>(index % 3);
+  k.depth = std::max(k.depth, k.partitions);
+  k.operations = std::max(k.operations, 2 * k.partitions);
+  k.chips = 2 + static_cast<int>(index % 2);
+  k.memory_blocks = 1 + static_cast<int>(index % 2);
+  k.mem_reads = 2;
+  k.mem_writes = 1;
+  k.allow_pipelining = true;
+  return testing::build_scenario(k);
+}
+
+/// Leaves an exhaustive walk of a scenario's raw lists may take; larger
+/// spaces are skipped to keep the suite fast.
+constexpr std::size_t kMaxLeaves = 6000;
+
+/// Calls `visit(index, session)` on each of the first 40 path scenarios
+/// whose raw lists span at most kMaxLeaves leaves, after prediction.
+template <typename Visit>
+void for_each_walkable_scenario(Visit visit) {
+  for (std::uint64_t index = 0; index < 40; ++index) {
+    const io::Project project = path_scenario(index);
+    ChopSession session(project.library, project.make_partitioning(),
+                        project.config);
+    session.predict_partitions();
+    std::size_t leaves = 1;  // 0 once a list is empty or past kMaxLeaves
+    for (const auto& list : session.predictions().raw) {
+      leaves = leaves == 0 || list.size() > kMaxLeaves / leaves
+                   ? 0
+                   : leaves * list.size();
+    }
+    if (leaves == 0) continue;
+    SCOPED_TRACE("scenario " + std::to_string(index));
+    visit(index, session);
+  }
+}
+
+/// Calls `visit(selection, result)` on every leaf of `lists` whose
+/// integration got past the structure stage (the pin budgets, the
+/// transfer fit and the urgency schedule): only then is the adjusted
+/// clock set.
+template <typename Visit>
+void for_each_scheduled_leaf(
+    const EvalContext& ctx,
+    const std::vector<std::vector<bad::DesignPrediction>>& lists,
+    Visit visit) {
+  std::vector<std::size_t> digits(lists.size(), 0);
+  std::vector<const bad::DesignPrediction*> selection(lists.size());
+  for (std::size_t p = 0; p < lists.size(); ++p) selection[p] = &lists[p][0];
+  for (;;) {
+    const IntegrationResult r =
+        integrate(ctx, selection, combination_ii(selection));
+    if (r.adjusted_clock_ns.likely() > 0.0) visit(selection, r);
+    std::size_t p = 0;
+    for (; p < lists.size(); ++p) {
+      if (++digits[p] < lists[p].size()) {
+        selection[p] = &lists[p][digits[p]];
+        break;
+      }
+      digits[p] = 0;
+      selection[p] = &lists[p][0];
+    }
+    if (p == lists.size()) return;
+  }
+}
+
+using Selection = std::vector<const bad::DesignPrediction*>;
+
+TEST(PathBound, NeverExceedsTheIntegratedDelayAtAnyPrefix) {
+  std::size_t scenarios = 0;
+  std::size_t leaves = 0;
+  std::size_t tight = 0;
+  for_each_walkable_scenario([&](std::uint64_t, const ChopSession& session) {
+    ++scenarios;
+    const auto& lists = session.predictions().raw;
+    const EvalContext ctx = session.make_eval_context();
+    const BoundTables tables(ctx, lists);
+    std::size_t violations = 0;
+    for_each_scheduled_leaf(ctx, lists, [&](const Selection& selection,
+                                            const IntegrationResult& r) {
+      ++leaves;
+      // Every prefix of the walk's commit order, from nothing committed
+      // to the whole leaf.
+      PrefixState prefix(ctx.partitioning());
+      Cycles bound = tables.delay_bound(prefix, selection.size());
+      if (bound > r.system_delay_main) ++violations;
+      for (std::size_t p = selection.size(); p-- > 0;) {
+        ASSERT_TRUE(prefix.push(p, *selection[p]));
+        bound = tables.delay_bound(prefix, p);
+        if (bound > r.system_delay_main) ++violations;
+      }
+      if (bound == r.system_delay_main) ++tight;
+    });
+    EXPECT_EQ(violations, 0u);
+  });
+  EXPECT_GE(scenarios, 20u);
+  EXPECT_GT(leaves, 10000u);
+  // The bound is exact wherever sharing delays no task (about a quarter
+  // of these leaves), so a bound that is admissible only because it is
+  // loose fails here.
+  EXPECT_GT(tight, leaves / 10);
+}
+
+SearchResult search_scenario(const ChopSession& session, bool prune,
+                             bool bound_pruning) {
+  CandidateEvaluator evaluator;
+  SearchOptions opt;
+  opt.heuristic = Heuristic::Enumeration;
+  opt.prune = prune;
+  opt.bound_pruning = bound_pruning;
+  opt.evaluator = &evaluator;
+  return session.search(opt);
+}
+
+TEST(PathBound, BoundedEqualsExhaustiveUnderABindingDelayBudget) {
+  std::size_t scenarios = 0;
+  std::size_t binding = 0;  ///< Scenarios whose budget fails some leaves.
+  for_each_walkable_scenario([&](std::uint64_t index, ChopSession& session) {
+    // The delay budget falls between the smallest and the largest delay
+    // of the scenario's own leaves.
+    const EvalContext ctx = session.make_eval_context();
+    std::vector<StatVal> delays;
+    Ns lo = std::numeric_limits<Ns>::max();
+    Ns hi = 0.0;
+    for_each_scheduled_leaf(
+        ctx, session.predictions().raw,
+        [&](const Selection&, const IntegrationResult& r) {
+          delays.push_back(r.delay_ns);
+          lo = std::min(lo, r.delay_ns.likely());
+          hi = std::max(hi, r.delay_ns.likely());
+        });
+    if (!(lo < hi)) return;
+    ++scenarios;
+    Rng rng(index);
+    DesignConstraints constraints = session.config().constraints;
+    constraints.delay_ns = lo + (hi - lo) * rng.uniform01();
+    const auto fails = std::count_if(
+        delays.begin(), delays.end(), [&](const StatVal& delay) {
+          return !ctx.criteria().delay_ok(delay, constraints.delay_ns);
+        });
+    if (fails > 0 && static_cast<std::size_t>(fails) < delays.size()) {
+      ++binding;
+    }
+    session.apply(EvalDelta::set_constraints(constraints));
+    session.predict_partitions();
+
+    for (const bool prune : {true, false}) {
+      SCOPED_TRACE(prune ? "pruned" : "keep-all");
+      const SearchResult exhaustive = search_scenario(session, prune, false);
+      const SearchResult bounded = search_scenario(session, prune, true);
+      expect_same_designs(exhaustive, bounded);
+      EXPECT_EQ(bounded.trials + bounded.bound_skipped_leaves,
+                exhaustive.trials);
+    }
+  });
+  EXPECT_GE(scenarios, 15u);
+  EXPECT_GE(binding, scenarios / 2);
 }
 
 }  // namespace

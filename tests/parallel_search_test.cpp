@@ -158,16 +158,21 @@ TEST(ParallelSearch, TruncationIdenticalAcrossThreadCounts) {
 
 /// A space degenerated to one candidate per partition plans exactly one
 /// work unit, which takes the serial path whatever the thread count: the
-/// parallel runs must match the serial run byte for byte. (The suite name
+/// parallel runs must match the serial run byte for byte. The one leaf is
+/// a feasible design, which the bound never prunes. (The suite name
 /// predates the removal of the cross-unit shared frontier.)
 TEST(SharedFrontierSearch, SingleUnitSpaceIsInvariantUnderSharing) {
   ChopSession session = fig7_session(2);
   session.predict_partitions();
+  const SearchResult full = run_at(session, 1, /*prune=*/true);
+  ASSERT_FALSE(full.designs.empty());
+  const std::vector<std::size_t>& choice = full.designs.front().choice;
   PartitionPredictions pred;
-  for (const auto& list : session.predictions().eligible) {
-    ASSERT_FALSE(list.empty());
-    pred.eligible.push_back({list.front()});
-    pred.raw.push_back({list.front()});
+  for (std::size_t p = 0; p < choice.size(); ++p) {
+    const bad::DesignPrediction& pick =
+        session.predictions().eligible[p][choice[p]];
+    pred.eligible.push_back({pick});
+    pred.raw.push_back({pick});
   }
   const EvalContext ctx = session.make_eval_context();
 
@@ -187,19 +192,21 @@ TEST(SharedFrontierSearch, SingleUnitSpaceIsInvariantUnderSharing) {
 
 /// Bounded units that hit the record cap stop before evaluating their
 /// next leaf while other units keep running. The race must not leak into
-/// the merged result: capped parallel runs on the eligible lists are
-/// byte-identical to the capped serial run at any thread count, twice.
+/// the merged result: capped parallel keep-all runs are byte-identical to
+/// the capped serial run at any thread count, twice.
 TEST(SharedFrontierSearch, PublicationRacingRecordCapStaysDeterministic) {
   ChopSession session = fig7_session(2);
   session.predict_partitions();
-  const std::size_t cap = 40;  // Well under the Fig-7 two-way space.
-  const SearchResult serial = run_at(session, 1, /*prune=*/true, cap);
+  // Well under the ~1,000 leaves the bounded Fig-7 two-way keep-all walk
+  // visits.
+  const std::size_t cap = 40;
+  const SearchResult serial = run_at(session, 1, /*prune=*/false, cap);
   EXPECT_TRUE(serial.truncated);
   EXPECT_EQ(serial.trials, cap);
 
   for (const int threads : {2, 4, 8}) {
-    const SearchResult first = run_at(session, threads, /*prune=*/true, cap);
-    const SearchResult second = run_at(session, threads, /*prune=*/true, cap);
+    const SearchResult first = run_at(session, threads, /*prune=*/false, cap);
+    const SearchResult second = run_at(session, threads, /*prune=*/false, cap);
     expect_identical(serial, first, threads);
     expect_identical(first, second, threads);
   }
@@ -380,14 +387,15 @@ struct ScheduleChaos {
   ~ScheduleChaos() { ThreadPool::set_scheduler_chaos_for_testing(0); }
 };
 
-/// Bounded (default) pruned search through the session's shared evaluator,
-/// so the 64 adversarial replays below are mostly cache hits.
+/// Bounded (default) search through the session's shared evaluator, so
+/// the 64 adversarial replays below are mostly cache hits. Pruned unless
+/// `prune` is false (keep-all).
 SearchResult run_scheduled(const ChopSession& session, int threads,
                            obs::SearchObserver* observer = nullptr,
-                           std::size_t max_trials = 0) {
+                           std::size_t max_trials = 0, bool prune = true) {
   SearchOptions opt;
   opt.heuristic = Heuristic::Enumeration;
-  opt.prune = true;
+  opt.prune = prune;
   opt.record_all = true;
   opt.threads = threads;
   opt.observer = observer;
@@ -423,10 +431,12 @@ TEST(AdversarialScheduler, ByteIdenticalAcrossSixteenHostileSchedules) {
 TEST(AdversarialScheduler, CappedRunsDeterministicUnderChaos) {
   // Units stop at the max_trials record budget while the merge raises the
   // stop flag — the truncation point must not move with the schedule.
+  // Keep-all, so that the bounded walk visits more leaves than the cap.
   ChopSession session = fig7_session(2);
   session.predict_partitions();
   const std::size_t cap = 37;  // not on any unit or wave boundary
-  const SearchResult base = run_scheduled(session, 1, nullptr, cap);
+  const SearchResult base =
+      run_scheduled(session, 1, nullptr, cap, /*prune=*/false);
   EXPECT_TRUE(base.truncated);
   EXPECT_EQ(base.trials, cap);
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -434,8 +444,9 @@ TEST(AdversarialScheduler, CappedRunsDeterministicUnderChaos) {
       SCOPED_TRACE("seed=" + std::to_string(seed) +
                    " threads=" + std::to_string(threads));
       ScheduleChaos chaos(seed);
-      expect_identical(base, run_scheduled(session, threads, nullptr, cap),
-                       threads);
+      expect_identical(
+          base, run_scheduled(session, threads, nullptr, cap, /*prune=*/false),
+          threads);
     }
   }
 }

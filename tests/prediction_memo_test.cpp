@@ -1,12 +1,12 @@
 // Oracle tests for core::PredictionMemo, the exact prediction memo that
 // gen::generate_partitions() shares across its starts: a session served
 // from the memo must predict and search exactly like a cold session, the
-// key must cover every field of the prediction environment and the
-// pruning inputs, the entry bound must hold under concurrent inserts, a
-// session holding a memo hit must refuse work that needs raw lists, and
-// generation must stay byte-identical across thread counts while the memo
-// gets hits. (Suite names match the CI TSan regex
-// `Eval|Generate`.)
+// key must cover every field of the prediction environment BAD reads and
+// the pruning inputs and no field it does not read, the entry bound must
+// hold under concurrent inserts, a session holding a memo hit must refuse
+// work that needs raw lists, and generation must stay byte-identical
+// across thread counts while the memo gets hits. (Suite names match the
+// CI TSan regex `Eval|Generate`.)
 #include "core/prediction_memo.hpp"
 
 #include <gtest/gtest.h>
@@ -271,8 +271,6 @@ TEST(GeneratePredictionMemo, EveryPredictEnvFieldIsPartOfTheKey) {
   vary("main clock", [](Variant& v) { v.config.clocks.main_clock = 290.0; });
   vary("datapath multiplier",
        [](Variant& v) { v.config.clocks.datapath_multiplier = 5; });
-  vary("transfer multiplier",
-       [](Variant& v) { v.config.clocks.transfer_multiplier = 2; });
   vary("performance budget",
        [](Variant& v) { v.config.constraints.performance_ns = 15000.0; });
   vary("testability",
@@ -302,6 +300,60 @@ TEST(GeneratePredictionMemo, EveryPredictEnvFieldIsPartOfTheKey) {
     const SearchOptions options;
     EXPECT_EQ(rendered(warm.search(options)), rendered(cold.search(options)));
   }
+}
+
+TEST(GeneratePredictionMemo, FieldsBadNeverReadsStayOutOfTheKey) {
+  // BAD reads neither the transfer multiplier nor the test-pin reserve, so
+  // a session that differs from the base in one of them alone must be
+  // served every partition from the base's memo entries, run no schedule,
+  // and still search exactly like its own cold session.
+  ChopConfig base;
+  base.style.clocking = bad::ClockingStyle::SingleCycle;
+  base.clocks = {300.0, 10, 1};
+  base.constraints = {30000.0, 60000.0};
+  base.testability.scan_design = true;
+  constexpr int kPorts = 1;
+  constexpr Ns kAccess = 300.0;
+  ChopConfig multiplier = base;
+  multiplier.clocks.transfer_multiplier = 2;
+  ChopConfig test_pins = base;
+  test_pins.testability.test_pins_per_chip = 8;
+  for (const ChopConfig& config : {multiplier, test_pins}) {
+    PredictionMemo memo;
+    ChopSession first = memory_session(base, kPorts, kAccess);
+    first.set_prediction_memo(&memo);
+    first.predict_partitions();
+    const std::size_t partitions = first.partitioning().partitions().size();
+
+    ChopSession warm = memory_session(config, kPorts, kAccess);
+    warm.set_prediction_memo(&memo);
+    ChopSession cold = memory_session(config, kPorts, kAccess);
+    const std::uint64_t schedules = counter("bad.schedules");
+    const PredictionStats got = warm.predict_partitions();
+    EXPECT_EQ(counter("bad.schedules") - schedules, 0u);
+    const PredictionStats want = cold.predict_partitions();
+    EXPECT_EQ(got.reused, partitions);
+    EXPECT_EQ(memo.size(), partitions);
+    EXPECT_EQ(got.total, want.total);
+    EXPECT_EQ(got.feasible, want.feasible);
+    expect_same_eligible(warm, cold);
+    const SearchOptions options;
+    EXPECT_EQ(rendered(warm.search(options)), rendered(cold.search(options)));
+  }
+
+  // Within one session, a revision that moves only the transfer
+  // multiplier reuses every partition too.
+  ChopSession session = memory_session(base, kPorts, kAccess);
+  session.predict_partitions();
+  session.apply(EvalDelta::set_clocking(base.style, multiplier.clocks));
+  const std::uint64_t schedules = counter("bad.schedules");
+  const PredictionStats revised = session.predict_partitions();
+  EXPECT_EQ(counter("bad.schedules") - schedules, 0u);
+  EXPECT_EQ(revised.reused, session.partitioning().partitions().size());
+  ChopSession cold = memory_session(multiplier, kPorts, kAccess);
+  cold.predict_partitions();
+  const SearchOptions options;
+  EXPECT_EQ(rendered(session.search(options)), rendered(cold.search(options)));
 }
 
 RawInputs synthetic_key(int i) {

@@ -196,6 +196,8 @@ TEST(Search, MaxTrialsTruncates) {
   session.predict_partitions();
   SearchOptions opt;
   opt.heuristic = Heuristic::Enumeration;
+  // Keep-all: the bounded walk still visits far more than 3 leaves.
+  opt.prune = false;
   opt.max_trials = 3;
   const SearchResult r = session.search(opt);
   EXPECT_TRUE(r.truncated);
